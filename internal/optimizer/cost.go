@@ -201,11 +201,8 @@ func (m *CostModel) Recost(p *Plan, cc, cs []float64) float64 {
 
 // scaleCardOf scales the estimated output cardinality in proportion to the
 // perturbed input cardinalities, so cost terms that depend on output size
-// respond to the sensitivity analysis. The snapshot — the cardinalities the
-// estimate was computed from — is read directly from the node's children
-// instead of materialized by childCardsSnapshot: the validity-range search
-// evaluates Recost thousands of times per optimization, and a per-evaluation
-// snapshot slice was the single largest allocation site in the whole system.
+// respond to the sensitivity analysis. The cardinalities the estimate was
+// computed from are read directly from the node's children.
 func scaleCardOf(p *Plan, cc []float64) float64 {
 	out := p.Card
 	for i := range cc {
@@ -219,40 +216,35 @@ func scaleCardOf(p *Plan, cc []float64) float64 {
 	return out
 }
 
-// childCardsSnapshot returns the child cardinalities the node's estimates
-// were derived from.
-func (p *Plan) childCardsSnapshot() []float64 {
-	out := make([]float64, len(p.Children))
+// childEstimates returns p's child cardinalities and subtree costs. Plans
+// have at most two children, so the values fit fixed arrays that stay on the
+// caller's stack: the validity-range search evaluates Recost thousands of
+// times per optimization.
+func childEstimates(p *Plan) (cc, cs [2]float64) {
 	for i, c := range p.Children {
-		out[i] = c.Card
+		cc[i], cs[i] = c.Card, c.Cost
 	}
-	return out
-}
-
-// childCosts returns the child subtree costs.
-func (p *Plan) childCosts() []float64 {
-	out := make([]float64, len(p.Children))
-	for i, c := range p.Children {
-		out[i] = c.Cost
-	}
-	return out
+	return cc, cs
 }
 
 // finishCosting sets p.Cost from its children using the model.
 func (m *CostModel) finishCosting(p *Plan) {
-	if len(p.Children) == 0 {
+	n := len(p.Children)
+	if n == 0 {
 		return
 	}
-	p.Cost = m.Recost(p, p.childCardsSnapshot(), p.childCosts())
+	cc, cs := childEstimates(p)
+	p.Cost = m.Recost(p, cc[:n], cs[:n])
 }
 
 // CostWithEdgeCard recomputes the total cost of p with child edge k's
 // cardinality overridden to c, holding every child's subtree cost fixed.
 // This is the f(c) whose crossover the validity-range search locates.
 func (m *CostModel) CostWithEdgeCard(p *Plan, k int, c float64) float64 {
-	cc := p.childCardsSnapshot()
-	if k >= 0 && k < len(cc) {
+	n := len(p.Children)
+	cc, cs := childEstimates(p)
+	if k >= 0 && k < n {
 		cc[k] = c
 	}
-	return m.Recost(p, cc, p.childCosts())
+	return m.Recost(p, cc[:n], cs[:n])
 }

@@ -3,7 +3,6 @@ package optimizer
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/catalog"
 	"repro/internal/expr"
@@ -106,27 +105,19 @@ func New(cat *catalog.Catalog) *Optimizer {
 
 // planner carries the per-query enumeration state.
 type planner struct {
-	opt  *Optimizer
-	q    *logical.Query
-	tabs []*catalog.Table
-	est  *estimator
-	// best maps a table subset to its best plans keyed by output order
-	// (-1 = unordered).
-	best map[uint64]map[int]*Plan
+	opt   *Optimizer
+	q     *logical.Query
+	facts *queryFacts // derived from q, the query the plans are built for
+	tabs  []*catalog.Table
+	est   *estimator
+	// best holds each table subset's best plans, one per output order,
+	// sorted by order key (-1 = unordered comes first). Visiting a group in
+	// slice order keeps every cost tie-break, candidate generation order and
+	// validity narrowing the same from run to run.
+	best map[uint64][]*Plan
 
 	// candidates counts addCandidate offers (see EnumeratedCandidates).
 	candidates int
-
-	// joinPreds is the precomputed join-predicate index: every multi-table
-	// WHERE conjunct with its table mask, in WHERE order. joinPredsBetween
-	// filters it with mask arithmetic instead of re-walking expression trees
-	// for every (subset, table) pair the enumeration probes.
-	joinPreds []predMask
-
-	// predScratch backs joinPredsBetween's result between calls. Callers
-	// never retain the slice (Conjoin and equiPairs both copy what they
-	// keep), so one buffer serves the whole enumeration.
-	predScratch []expr.Expr
 }
 
 // Optimize compiles the query into the cheapest physical plan, computing
@@ -143,22 +134,22 @@ func (o *Optimizer) Optimize(q *logical.Query) (*Plan, error) {
 	// Estimation runs against the bound query when parameter bindings are
 	// supplied; plan construction always uses the marker query. The two are
 	// structurally identical (same tables, same global-id layout), so masks
-	// and column ids transfer directly.
-	estQ := q
-	if len(o.ParamBindings) > 0 {
-		estQ = logical.BindParams(q, o.ParamBindings)
+	// and column ids transfer directly. Without bindings both share one set
+	// of facts.
+	facts := newQueryFacts(q)
+	estFacts := facts
+	if estQ := logical.BindParams(q, o.ParamBindings); estQ != q {
+		estFacts = newQueryFacts(estQ)
 	}
 	pl := &planner{
-		opt:  o,
-		q:    q,
-		tabs: tabs,
-		est:  newEstimator(estQ, tabs, o.Feedback),
-		best: make(map[uint64]map[int]*Plan),
+		opt:   o,
+		q:     q,
+		facts: facts,
+		tabs:  tabs,
+		est:   newEstimator(estFacts, tabs, o.Feedback),
+		best:  make(map[uint64][]*Plan),
 	}
 	pl.est.uncertainty = o.UncertaintyPenalty
-	for _, p := range q.JoinPredicates() {
-		pl.joinPreds = append(pl.joinPreds, predMask{pred: p, mask: q.TablesUsed(p)})
-	}
 	o.Model.RobustnessBonus = o.RobustnessBonus
 	for ti := range tabs {
 		for _, ap := range pl.baseAccessPaths(ti) {
@@ -325,33 +316,36 @@ func (o *Optimizer) parallelJoin(p *Plan) *Plan {
 func (pl *planner) addCandidate(cand *Plan) {
 	pl.candidates++
 	group := pl.best[cand.tables]
-	if group == nil {
-		group = make(map[int]*Plan)
-		pl.best[cand.tables] = group
-	}
 	// Narrow across order groups too: an ordered plan (e.g. a merge join)
 	// and the unordered best are structural alternatives for the same
 	// subset, so their cost crossover bounds both plans' edges even though
 	// neither prunes the other.
 	if cand.ordered != -1 {
-		if u := group[-1]; u != nil {
-			pl.narrowPair(cand, u)
+		if len(group) > 0 && group[0].ordered == -1 {
+			pl.narrowPair(cand, group[0])
 		}
 	} else {
-		for _, inc := range orderedGroup(group) {
+		for _, inc := range group {
 			if inc.ordered != -1 {
 				pl.narrowPair(cand, inc)
 			}
 		}
 	}
-	inc := group[cand.ordered]
-	if inc == nil {
-		group[cand.ordered] = cand
+	i := 0
+	for i < len(group) && group[i].ordered < cand.ordered {
+		i++
+	}
+	if i == len(group) || group[i].ordered != cand.ordered {
+		group = append(group, nil)
+		copy(group[i+1:], group[i:])
+		group[i] = cand
+		pl.best[cand.tables] = group
 		return
 	}
+	inc := group[i]
 	if cand.Cost < inc.Cost {
 		pl.narrow(cand, inc)
-		group[cand.ordered] = cand
+		group[i] = cand
 	} else {
 		pl.narrow(inc, cand)
 	}
@@ -374,13 +368,11 @@ func (pl *planner) narrow(winner, loser *Plan) {
 	pl.opt.Model.narrowValidity(winner, loser)
 }
 
-// bestOf returns the cheapest plan for the subset across all order keys.
-// Iteration is in sorted order-key order so cost ties break the same way
-// every run — with Go's randomized map iteration a tie would otherwise pick
-// a different plan per process.
+// bestOf returns the cheapest plan for the subset across all order keys;
+// a cost tie goes to the lowest order key.
 func (pl *planner) bestOf(mask uint64) *Plan {
 	var best *Plan
-	for _, p := range orderedGroup(pl.best[mask]) {
+	for _, p := range pl.best[mask] {
 		if best == nil || p.Cost < best.Cost {
 			best = p
 		}
@@ -388,30 +380,15 @@ func (pl *planner) bestOf(mask uint64) *Plan {
 	return best
 }
 
-// orderedGroup returns a subset's per-order-key plans sorted by order key,
-// replacing direct map iteration wherever the visit order can reach plan
-// choice (cost tie-breaks, candidate generation, validity narrowing).
-func orderedGroup(group map[int]*Plan) []*Plan {
-	keys := make([]int, 0, len(group))
-	for k := range group {
-		keys = append(keys, k)
+// orderedOn returns the subset's best plan ordered on global column col, or
+// nil.
+func (pl *planner) orderedOn(mask uint64, col int) *Plan {
+	for _, p := range pl.best[mask] {
+		if p.ordered == col {
+			return p
+		}
 	}
-	sort.Ints(keys)
-	out := make([]*Plan, len(keys))
-	for i, k := range keys {
-		out[i] = group[k]
-	}
-	return out
-}
-
-// allCols returns the global ids of every column of table ti.
-func (pl *planner) allCols(ti int) []int {
-	n := pl.q.Schemas[ti].Len()
-	out := make([]int, n)
-	for i := range out {
-		out[i] = pl.q.GlobalID(ti, i)
-	}
-	return out
+	return nil
 }
 
 // baseAccessPaths generates the single-table access plans: sequential scan,
@@ -420,10 +397,10 @@ func (pl *planner) allCols(ti int) []int {
 func (pl *planner) baseAccessPaths(ti int) []*Plan {
 	q, t := pl.q, pl.tabs[ti]
 	pr := &pl.opt.Model.Params
-	local := q.LocalPredicates(ti)
+	local := pl.facts.local[ti]
 	baseRows := t.RowCount()
 	fCard := pl.est.filteredBaseCard(ti)
-	cols := pl.allCols(ti)
+	cols := pl.facts.cols[ti]
 	mask := uint64(1) << uint(ti)
 
 	var paths []*Plan
@@ -431,7 +408,7 @@ func (pl *planner) baseAccessPaths(ti int) []*Plan {
 	scan := &Plan{
 		Op:      OpTableScan,
 		Table:   ti,
-		Filter:  expr.Conjoin(local...),
+		Filter:  pl.facts.localAnd[ti],
 		Cols:    cols,
 		Card:    fCard,
 		Cost:    baseRows*pr.ScanRow + baseRows*float64(len(local))*pr.PredEval,
@@ -617,12 +594,9 @@ func (pl *planner) enumerateDP(full uint64) {
 // expandSubset generates join plans for a subset from its left-deep splits
 // and offers a matching MV as an alternative.
 func (pl *planner) expandSubset(mask uint64) {
-	type split struct {
-		ti        int
-		connected bool
-	}
-	var splits []split
-	anyConnected := false
+	// Bit ti of splits marks a usable split (mask minus ti has plans); of
+	// connected, a split with a join predicate across it.
+	var splits, connected uint64
 	for ti := range pl.q.Tables {
 		bit := uint64(1) << uint(ti)
 		if mask&bit == 0 {
@@ -632,19 +606,17 @@ func (pl *planner) expandSubset(mask uint64) {
 		if rest == 0 || len(pl.best[rest]) == 0 {
 			continue
 		}
-		conn := len(pl.joinPredsBetween(rest, ti)) > 0
-		anyConnected = anyConnected || conn
-		splits = append(splits, split{ti: ti, connected: conn})
-	}
-	for _, s := range splits {
-		if anyConnected && !s.connected {
-			continue // defer cartesian products unless unavoidable
+		splits |= bit
+		if pl.facts.countJoinPreds(rest, ti) > 0 {
+			connected |= bit
 		}
-		rest := mask &^ (1 << uint(s.ti))
-		for _, outer := range orderedGroup(pl.best[rest]) {
-			for _, cand := range pl.joinCandidates(outer, s.ti) {
-				pl.addCandidate(cand)
-			}
+	}
+	if connected != 0 {
+		splits = connected // defer cartesian products unless unavoidable
+	}
+	for ti := range pl.q.Tables {
+		if bit := uint64(1) << uint(ti); splits&bit != 0 {
+			pl.joinAll(mask&^bit, ti)
 		}
 	}
 	if mv := pl.matchMV(mask); mv != nil {
@@ -671,7 +643,7 @@ func (pl *planner) enumerateGreedy(full uint64) error {
 			if joined&bit != 0 {
 				continue
 			}
-			conn := len(pl.joinPredsBetween(joined, ti)) > 0
+			conn := pl.facts.countJoinPreds(joined, ti) > 0
 			card := pl.est.SubsetCard(joined | bit)
 			if conn && !connectedFound {
 				// First connected candidate beats any cartesian one.
@@ -685,11 +657,7 @@ func (pl *planner) enumerateGreedy(full uint64) error {
 		if next < 0 {
 			return fmt.Errorf("optimizer: greedy enumeration stuck at %s", pl.est.maskString(joined))
 		}
-		for _, outer := range orderedGroup(pl.best[joined]) {
-			for _, cand := range pl.joinCandidates(outer, next) {
-				pl.addCandidate(cand)
-			}
-		}
+		pl.joinAll(joined, next)
 		joined |= 1 << uint(next)
 		if mv := pl.matchMV(joined); mv != nil {
 			pl.addCandidate(mv)
@@ -701,28 +669,12 @@ func (pl *planner) enumerateGreedy(full uint64) error {
 	return nil
 }
 
-// joinPredsBetween returns the join predicates connecting subset rest with
-// table ti. The result aliases predScratch and is only valid until the next
-// call; callers copy anything they keep.
-func (pl *planner) joinPredsBetween(rest uint64, ti int) []expr.Expr {
-	bit := uint64(1) << uint(ti)
-	out := pl.predScratch[:0]
-	for _, jp := range pl.joinPreds {
-		if jp.mask&bit != 0 && jp.mask&rest != 0 && jp.mask&^(rest|bit) == 0 {
-			out = append(out, jp.pred)
-		}
-	}
-	pl.predScratch = out
-	return out
-}
-
 // equiPair is one hash/merge-joinable equality between the outer subset and
 // the inner table.
 type equiPair struct {
-	pred       expr.Expr
-	outerCol   int // global id on the outer side
-	innerCol   int // global id on the inner (single-table) side
-	innerTable int
+	pred     expr.Expr
+	outerCol int // global id on the outer side
+	innerCol int // global id on the inner (single-table) side
 }
 
 func (pl *planner) equiPairs(preds []expr.Expr, rest uint64, ti int) (pairs []equiPair, residual []expr.Expr) {
@@ -732,12 +684,12 @@ func (pl *planner) equiPairs(preds []expr.Expr, rest uint64, ti int) (pairs []eq
 			residual = append(residual, p)
 			continue
 		}
-		lt, rt := pl.q.TableOf(l), pl.q.TableOf(r)
+		lt, rt := pl.facts.tableOf(l), pl.facts.tableOf(r)
 		switch {
 		case lt == ti && rest&(1<<uint(rt)) != 0:
-			pairs = append(pairs, equiPair{pred: p, outerCol: r, innerCol: l, innerTable: ti})
+			pairs = append(pairs, equiPair{pred: p, outerCol: r, innerCol: l})
 		case rt == ti && rest&(1<<uint(lt)) != 0:
-			pairs = append(pairs, equiPair{pred: p, outerCol: l, innerCol: r, innerTable: ti})
+			pairs = append(pairs, equiPair{pred: p, outerCol: l, innerCol: r})
 		default:
 			residual = append(residual, p)
 		}
@@ -745,172 +697,233 @@ func (pl *planner) equiPairs(preds []expr.Expr, rest uint64, ti int) (pairs []eq
 	return pairs, residual
 }
 
-// joinCandidates builds every physical join of outer ⋈ table ti the knobs
-// allow: naive NLJN, index NLJN, hash join in both build directions, and
-// merge join with sort enforcers.
-func (pl *planner) joinCandidates(outer *Plan, ti int) []*Plan {
-	q := pl.q
+// joinSplit holds what every join of the left-deep split rest ⋈ ti shares,
+// whichever of rest's plans is the outer: the predicates and their
+// conjunctions, the equi-join keys, the output cardinality and the inner
+// plans. Building it once per split keeps that work out of the per-outer
+// candidate loop.
+type joinSplit struct {
+	ti      int
+	mask    uint64
+	outCard float64
+	inner   *Plan // cheapest plan for table ti
+
+	joinPred expr.Expr // every join predicate of the split, conjoined
+	nonEqui  expr.Expr // the ones no equi pair covers, conjoined
+
+	// Index nested-loop joins, one per equi pair with a B-tree on its
+	// inner column.
+	indexJoins []indexJoin
+
+	// Hash joins: the equi keys on the outer (probe) and inner (build) side.
+	probeKeys, buildKeys []int
+
+	// Merge join on the first equi pair. mergeInner is the inner ordered on
+	// its key: a plan for ti already ordered so, else a sort of inner.
+	mergeLeft, mergeRight []int
+	mergeSort             []SortKey // the outer's sort keys
+	mergeInner            *Plan
+	mergeFilter           expr.Expr
+}
+
+// indexJoin is one index nested-loop join of a split.
+type indexJoin struct {
+	ord       int     // inner column ordinal the B-tree is on
+	height    float64 // B-tree height
+	lookupCol int     // outer column probing the index
+	filter    expr.Expr
+}
+
+// joinAll offers every join of each of rest's plans with table ti.
+func (pl *planner) joinAll(rest uint64, ti int) {
+	outers := pl.best[rest]
 	bit := uint64(1) << uint(ti)
-	mask := outer.tables | bit
-	outCard := pl.est.SubsetCard(mask)
-	joinPreds := pl.joinPredsBetween(outer.tables, ti)
-	pairs, nonEqui := pl.equiPairs(joinPreds, outer.tables, ti)
-	m := &pl.opt.Model
-
-	innerPlans := pl.best[bit]
-	innerCheapest := pl.bestOf(bit)
-	if innerCheapest == nil {
-		return nil
+	inner := pl.bestOf(bit)
+	if len(outers) == 0 || inner == nil {
+		return
 	}
+	preds := pl.facts.joinPredsBetween(rest, ti)
+	pairs, nonEqui := pl.equiPairs(preds, rest, ti)
+	sp := &joinSplit{
+		ti:       ti,
+		mask:     rest | bit,
+		outCard:  pl.est.SubsetCard(rest | bit),
+		inner:    inner,
+		joinPred: expr.Conjoin(preds...),
+		nonEqui:  expr.Conjoin(nonEqui...),
+	}
+	for _, pr := range pairs {
+		ord := pr.innerCol - pl.q.Base(ti)
+		ix := pl.tabs[ti].BTreeOn(ord)
+		if ix == nil {
+			continue
+		}
+		residual := append([]expr.Expr(nil), nonEqui...)
+		for _, other := range pairs {
+			if other.pred != pr.pred {
+				residual = append(residual, other.pred)
+			}
+		}
+		sp.indexJoins = append(sp.indexJoins, indexJoin{
+			ord:       ord,
+			height:    float64(ix.Height()),
+			lookupCol: pr.outerCol,
+			filter:    expr.Conjoin(residual...),
+		})
+	}
+	if len(pairs) > 0 {
+		sp.probeKeys = make([]int, len(pairs))
+		sp.buildKeys = make([]int, len(pairs))
+		for i, pr := range pairs {
+			sp.probeKeys[i] = pr.outerCol
+			sp.buildKeys[i] = pr.innerCol
+		}
+		pr := pairs[0]
+		sp.mergeLeft, sp.mergeRight = sp.probeKeys[:1:1], sp.buildKeys[:1:1]
+		sp.mergeSort = []SortKey{{Col: pr.outerCol}}
+		if sp.mergeInner = pl.orderedOn(bit, pr.innerCol); sp.mergeInner == nil {
+			sp.mergeInner = pl.sorted(inner, []SortKey{{Col: pr.innerCol}})
+		}
+		residual := append([]expr.Expr(nil), nonEqui...)
+		for _, other := range pairs[1:] {
+			residual = append(residual, other.pred)
+		}
+		sp.mergeFilter = expr.Conjoin(residual...)
+	}
+	for _, outer := range outers {
+		pl.joinCandidates(sp, outer)
+	}
+}
 
-	var out []*Plan
-	mk := func(p *Plan) {
-		p.tables = mask
-		p.Card = outCard
+// joinCandidates offers every physical join of outer ⋈ the split's table
+// that the knobs allow: naive NLJN, index NLJN, hash join in both build
+// directions, and merge join with sort enforcers.
+func (pl *planner) joinCandidates(sp *joinSplit, outer *Plan) {
+	m := &pl.opt.Model
+	inner := sp.inner
+	outerInner := concatCols(outer.Cols, inner.Cols) // the naive NLJN's and first HSJN's output
+	offer := func(p *Plan) {
+		p.tables = sp.mask
+		p.Card = sp.outCard
 		m.finishCosting(p) // the model applies the robustness handicap
-		out = append(out, p)
+		pl.addCandidate(p)
 	}
 
 	// Naive nested-loop join: always applicable (handles non-equi and
 	// cartesian joins), rescans the inner per outer row.
 	if !pl.opt.DisableNLJN {
-		mk(&Plan{
+		offer(&Plan{
 			Op:       OpNLJN,
-			Children: []*Plan{outer, innerCheapest},
-			JoinPred: expr.Conjoin(joinPreds...),
-			Filter:   expr.Conjoin(joinPreds...),
-			Cols:     append(append([]int(nil), outer.Cols...), innerCheapest.Cols...),
+			Children: []*Plan{outer, inner},
+			JoinPred: sp.joinPred,
+			Filter:   sp.joinPred,
+			Cols:     outerInner,
 			ordered:  outer.ordered,
 		})
 	}
 
 	// Index nested-loop join per indexed equi column.
 	if !pl.opt.DisableNLJN && !pl.opt.DisableIndexJoin {
-		for _, pr := range pairs {
-			ord := q.OrdinalOf(pr.innerCol)
-			ix := pl.tabs[ti].BTreeOn(ord)
-			if ix == nil {
-				continue
-			}
-			probe := pl.indexProbePlan(ti, ord, outer, outCard)
-			var residual []expr.Expr
-			residual = append(residual, nonEqui...)
-			for _, other := range pairs {
-				if other.pred != pr.pred {
-					residual = append(residual, other.pred)
-				}
-			}
-			mk(&Plan{
+		for i := range sp.indexJoins {
+			ij := &sp.indexJoins[i]
+			probe := pl.indexProbePlan(sp, ij, outer)
+			offer(&Plan{
 				Op:        OpNLJN,
 				IndexJoin: true,
-				LookupCol: pr.outerCol,
+				LookupCol: ij.lookupCol,
 				Children:  []*Plan{outer, probe},
-				JoinPred:  expr.Conjoin(joinPreds...),
-				Filter:    expr.Conjoin(residual...),
-				Cols:      append(append([]int(nil), outer.Cols...), probe.Cols...),
+				JoinPred:  sp.joinPred,
+				Filter:    ij.filter,
+				Cols:      concatCols(outer.Cols, probe.Cols),
 				ordered:   outer.ordered,
 			})
 		}
 	}
 
 	// Hash join (requires at least one equality) in both build directions.
-	if !pl.opt.DisableHSJN && len(pairs) > 0 {
-		probeKeys := make([]int, len(pairs))
-		buildKeys := make([]int, len(pairs))
-		for i, pr := range pairs {
-			probeKeys[i] = pr.outerCol
-			buildKeys[i] = pr.innerCol
-		}
+	if !pl.opt.DisableHSJN && len(sp.probeKeys) > 0 {
 		// Build on the single table, probe with the outer subset.
-		mk(&Plan{
+		offer(&Plan{
 			Op:        OpHSJN,
-			Children:  []*Plan{outer, innerCheapest},
-			EquiLeft:  probeKeys,
-			EquiRight: buildKeys,
-			Filter:    expr.Conjoin(nonEqui...),
-			Cols:      append(append([]int(nil), outer.Cols...), innerCheapest.Cols...),
+			Children:  []*Plan{outer, inner},
+			EquiLeft:  sp.probeKeys,
+			EquiRight: sp.buildKeys,
+			Filter:    sp.nonEqui,
+			Cols:      outerInner,
 			ordered:   outer.ordered,
 		})
 		// Build on the outer subset, probe with the table.
-		mk(&Plan{
+		offer(&Plan{
 			Op:        OpHSJN,
-			Children:  []*Plan{innerCheapest, outer},
-			EquiLeft:  buildKeys,
-			EquiRight: probeKeys,
-			Filter:    expr.Conjoin(nonEqui...),
-			Cols:      append(append([]int(nil), innerCheapest.Cols...), outer.Cols...),
-			ordered:   innerCheapest.ordered,
+			Children:  []*Plan{inner, outer},
+			EquiLeft:  sp.buildKeys,
+			EquiRight: sp.probeKeys,
+			Filter:    sp.nonEqui,
+			Cols:      concatCols(inner.Cols, outer.Cols),
+			ordered:   inner.ordered,
 		})
 	}
 
 	// Merge join on the first equi pair, with sort enforcers as needed. An
 	// inner plan already ordered on the key (an index scan) avoids its sort.
-	if !pl.opt.DisableMGJN && len(pairs) > 0 {
-		pr := pairs[0]
-		left := pl.sorted(outer, pr.outerCol)
-		var right *Plan
-		if ip, ok := innerPlans[pr.innerCol]; ok {
-			right = ip
-		} else {
-			right = pl.sorted(innerCheapest, pr.innerCol)
-		}
-		var residual []expr.Expr
-		residual = append(residual, nonEqui...)
-		for _, other := range pairs[1:] {
-			residual = append(residual, other.pred)
-		}
-		mk(&Plan{
+	if !pl.opt.DisableMGJN && len(sp.probeKeys) > 0 {
+		left, right := pl.sorted(outer, sp.mergeSort), sp.mergeInner
+		offer(&Plan{
 			Op:        OpMGJN,
 			Children:  []*Plan{left, right},
-			EquiLeft:  []int{pr.outerCol},
-			EquiRight: []int{pr.innerCol},
-			Filter:    expr.Conjoin(residual...),
-			Cols:      append(append([]int(nil), left.Cols...), right.Cols...),
-			ordered:   pr.outerCol,
+			EquiLeft:  sp.mergeLeft,
+			EquiRight: sp.mergeRight,
+			Filter:    sp.mergeFilter,
+			Cols:      concatCols(left.Cols, right.Cols),
+			ordered:   sp.mergeLeft[0],
 		})
 	}
+}
+
+// concatCols returns a new slice holding a's column ids followed by b's.
+func concatCols(a, b []int) []int {
+	out := make([]int, len(a)+len(b))
+	copy(out[copy(out, a):], b)
 	return out
 }
 
 // indexProbePlan builds the parameterized index-probe inner of an index
 // NLJN: Card is the expected matches per probe and Cost the per-probe cost.
-func (pl *planner) indexProbePlan(ti, ord int, outer *Plan, outCard float64) *Plan {
-	q := pl.q
+func (pl *planner) indexProbePlan(sp *joinSplit, ij *indexJoin, outer *Plan) *Plan {
 	pr := &pl.opt.Model.Params
-	ix := pl.tabs[ti].BTreeOn(ord)
-	local := q.LocalPredicates(ti)
-	perProbe := outCard / math.Max(outer.Card, 1e-9)
+	perProbe := sp.outCard / math.Max(outer.Card, 1e-9)
 	if perProbe < 1e-6 {
 		perProbe = 1e-6
 	}
-	cost := float64(ix.Height())*pr.IndexLevel + perProbe*pr.FetchRow +
-		perProbe*float64(len(local))*pr.PredEval
+	cost := ij.height*pr.IndexLevel + perProbe*pr.FetchRow +
+		perProbe*float64(len(pl.facts.local[sp.ti]))*pr.PredEval
 	return &Plan{
 		Op:       OpIndexScan,
-		Table:    ti,
-		IndexOrd: ord,
-		Filter:   expr.Conjoin(local...),
-		Cols:     pl.allCols(ti),
+		Table:    sp.ti,
+		IndexOrd: ij.ord,
+		Filter:   pl.facts.localAnd[sp.ti],
+		Cols:     pl.facts.cols[sp.ti],
 		Card:     perProbe,
 		Cost:     cost,
-		tables:   uint64(1) << uint(ti),
+		tables:   uint64(1) << uint(sp.ti),
 		ordered:  -1,
 	}
 }
 
-// sorted wraps p in a SORT enforcer unless it is already ordered on col.
-func (pl *planner) sorted(p *Plan, col int) *Plan {
-	if p.ordered == col {
+// sorted wraps p in a SORT enforcer on keys unless p is already ordered on
+// the first key's column.
+func (pl *planner) sorted(p *Plan, keys []SortKey) *Plan {
+	if p.ordered == keys[0].Col {
 		return p
 	}
 	s := &Plan{
 		Op:       OpSort,
 		Children: []*Plan{p},
-		SortKeys: []SortKey{{Col: col}},
+		SortKeys: keys,
 		Cols:     p.Cols,
 		Card:     p.Card,
 		tables:   p.tables,
-		ordered:  col,
+		ordered:  keys[0].Col,
 	}
 	pl.opt.Model.finishCosting(s)
 	return s

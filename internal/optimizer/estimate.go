@@ -18,9 +18,10 @@ import (
 // observed during a previous partial execution override the original
 // (possibly wrong) estimates — POP's aspect 2 (paper §2).
 type estimator struct {
-	q    *logical.Query
-	tabs []*catalog.Table
-	fb   *stats.Feedback
+	q     *logical.Query
+	facts *queryFacts // derived from q
+	tabs  []*catalog.Table
+	fb    *stats.Feedback
 	// uncertainty inflates estimates not backed by feedback during a
 	// re-optimization (>1 enables; see Optimizer.UncertaintyPenalty).
 	uncertainty float64
@@ -31,30 +32,19 @@ type estimator struct {
 	// builds strings. Everything below is derived purely from the fields
 	// above, which are immutable for the estimator's lifetime, so memoizing
 	// returns bit-identical values in identical call orders.
-	lk        stats.Lookup       // interned lookup closure
-	fbHas     bool               // fb had entries at construction
-	joinPreds []predMask         // join predicates with cached table masks
-	joinSel   []float64          // memoized joinPredSelectivity (NaN = unset)
-	baseCard  []float64          // memoized filteredBaseCard (NaN = unset)
-	subsets   map[uint64]float64 // memoized SubsetCard
-	sigs      map[uint64]string  // memoized Signature
+	lk       stats.Lookup       // interned lookup closure
+	fbHas    bool               // fb had entries at construction
+	joinSel  []float64          // memoized joinPredSelectivity per facts.joins entry (NaN = unset)
+	baseCard []float64          // memoized filteredBaseCard (NaN = unset)
+	subsets  map[uint64]float64 // memoized SubsetCard
+	sigs     map[uint64]string  // memoized Signature
 }
 
-// predMask pairs a predicate with its precomputed table mask, saving the
-// expression walk TablesUsed performs on every call.
-type predMask struct {
-	pred expr.Expr
-	mask uint64
-}
-
-func newEstimator(q *logical.Query, tabs []*catalog.Table, fb *stats.Feedback) *estimator {
-	e := &estimator{q: q, tabs: tabs, fb: fb}
+func newEstimator(f *queryFacts, tabs []*catalog.Table, fb *stats.Feedback) *estimator {
+	e := &estimator{q: f.q, facts: f, tabs: tabs, fb: fb}
 	e.lk = func(pos int) *stats.ColumnStats { return e.statsLookup(pos) }
 	e.fbHas = fb != nil && fb.Len() > 0
-	for _, p := range q.JoinPredicates() {
-		e.joinPreds = append(e.joinPreds, predMask{pred: p, mask: q.TablesUsed(p)})
-	}
-	e.joinSel = make([]float64, len(e.joinPreds))
+	e.joinSel = make([]float64, len(f.joins))
 	e.baseCard = make([]float64, len(tabs))
 	for i := range e.joinSel {
 		e.joinSel[i] = math.NaN()
@@ -79,11 +69,11 @@ func (e *estimator) uncertain(card float64) float64 {
 
 // statsLookup resolves a query-global column id to its column statistics.
 func (e *estimator) statsLookup(g int) *stats.ColumnStats {
-	ti := e.q.TableOf(g)
+	ti := e.facts.tableOf(g)
 	if ti < 0 {
 		return nil
 	}
-	return e.tabs[ti].Stats(e.q.OrdinalOf(g))
+	return e.tabs[ti].Stats(g - e.q.Base(ti))
 }
 
 // lookup adapts statsLookup to the stats package's Lookup type.
@@ -96,6 +86,16 @@ func (e *estimator) lookup() stats.Lookup { return e.lk }
 // equivalent subplans share a signature regardless of operator choice or
 // join order — the key property for cardinality feedback and MV matching.
 func Signature(q *logical.Query, mask uint64) string {
+	masks := make([]uint64, len(q.Where))
+	for i, p := range q.Where {
+		masks[i] = q.TablesUsed(p)
+	}
+	return signature(q, masks, mask)
+}
+
+// signature is Signature with the conjuncts' table masks (parallel to
+// q.Where) supplied by the caller.
+func signature(q *logical.Query, masks []uint64, mask uint64) string {
 	var aliases []string
 	for i := range q.Tables {
 		if mask&(1<<uint(i)) != 0 {
@@ -104,9 +104,8 @@ func Signature(q *logical.Query, mask uint64) string {
 	}
 	sort.Strings(aliases)
 	var preds []string
-	for _, p := range q.Where {
-		used := q.TablesUsed(p)
-		if used != 0 && used&mask == used {
+	for i, p := range q.Where {
+		if used := masks[i]; used != 0 && used&mask == used {
 			preds = append(preds, predSignature(q, p))
 		}
 	}
@@ -120,7 +119,7 @@ func (e *estimator) Signature(mask uint64) string {
 	if s, ok := e.sigs[mask]; ok {
 		return s
 	}
-	s := Signature(e.q, mask)
+	s := signature(e.q, e.facts.masks, mask)
 	e.sigs[mask] = s
 	return s
 }
@@ -159,7 +158,7 @@ func (e *estimator) filteredBaseCardUncached(ti int) float64 {
 		}
 	}
 	card := e.baseTableCard(ti)
-	for _, p := range e.q.LocalPredicates(ti) {
+	for _, p := range e.facts.local[ti] {
 		card *= stats.Selectivity(p, e.lookup())
 	}
 	if card < 0 {
@@ -200,7 +199,7 @@ func (e *estimator) subsetCardUncached(mask uint64) float64 {
 			card *= e.filteredBaseCard(i)
 		}
 	}
-	for i, jp := range e.joinPreds {
+	for i, jp := range e.facts.joins {
 		if jp.mask&mask == jp.mask {
 			if math.IsNaN(e.joinSel[i]) {
 				e.joinSel[i] = e.joinPredSelectivity(jp.pred)

@@ -62,7 +62,7 @@ func visibleWeight(p expr.Expr) int {
 func (pl *planner) visibleScores() []int {
 	score := make([]int, len(pl.q.Tables))
 	for ti := range pl.q.Tables {
-		for _, p := range pl.q.LocalPredicates(ti) {
+		for _, p := range pl.facts.local[ti] {
 			score[ti] += visibleWeight(p)
 		}
 	}
@@ -93,7 +93,7 @@ func (pl *planner) enumerateGreedyVisible(full uint64) error {
 			if joined&bit != 0 {
 				continue
 			}
-			conn := len(pl.joinPredsBetween(joined, ti))
+			conn := pl.facts.countJoinPreds(joined, ti)
 			if connectedFound && conn == 0 {
 				continue // defer cartesian products unless unavoidable
 			}
@@ -107,11 +107,7 @@ func (pl *planner) enumerateGreedyVisible(full uint64) error {
 				next, bestStep = ti, step
 			}
 		}
-		for _, outer := range orderedGroup(pl.best[joined]) {
-			for _, cand := range pl.joinCandidates(outer, next) {
-				pl.addCandidate(cand)
-			}
-		}
+		pl.joinAll(joined, next)
 		joined |= 1 << uint(next)
 		if mv := pl.matchMV(joined); mv != nil {
 			pl.addCandidate(mv)

@@ -87,7 +87,7 @@ func NewCardEstimator(cat *catalog.Catalog, q *logical.Query, fb *stats.Feedback
 		}
 		tabs[i] = t
 	}
-	return &CardEstimator{est: newEstimator(q, tabs, fb)}, nil
+	return &CardEstimator{est: newEstimator(newQueryFacts(q), tabs, fb)}, nil
 }
 
 // SubsetCard estimates the join output cardinality of the table subset.

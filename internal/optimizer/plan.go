@@ -248,8 +248,12 @@ func (p *Plan) EdgeValidity(i int) Range {
 
 // SetEdgeValidity records a validity range for child edge i.
 func (p *Plan) SetEdgeValidity(i int, r Range) {
-	for len(p.Validity) < len(p.Children) {
-		p.Validity = append(p.Validity, UnboundedRange())
+	if len(p.Validity) < len(p.Children) {
+		v := make([]Range, len(p.Children))
+		for k := copy(v, p.Validity); k < len(v); k++ {
+			v[k] = UnboundedRange()
+		}
+		p.Validity = v
 	}
 	p.Validity[i] = r
 }

@@ -36,54 +36,62 @@ func (m *CostModel) narrowValidity(popt, palt *Plan) {
 			continue
 		}
 		// Both crossover searches evaluate both plans at the estimate before
-		// stepping, and every evaluation rebuilds the child-cardinality
-		// snapshot. Hoist the shared at-estimate evaluations and reuse one
-		// snapshot per (plan, edge) across the whole search: each crossover
-		// sees exactly the cost values the duplicated evaluations produced,
-		// so the returned bounds are bit-identical.
-		fOpt := m.edgeCostFn(popt, k)
-		fAlt := m.edgeCostFn(palt, j)
+		// stepping; evaluate there once and share the values.
+		fOpt := newEdgeCost(m, popt, k)
+		fAlt := newEdgeCost(m, palt, j)
 		est := math.Max(popt.Children[k].Card, 1e-6)
-		costOptEst, costAltEst := fOpt(est), fAlt(est)
+		costOptEst, costAltEst := fOpt.at(est), fAlt.at(est)
 		cur := popt.EdgeValidity(k)
-		if ub := upperCrossover(fOpt, fAlt, est, costOptEst, costAltEst); ub < cur.Hi {
-			cur.Hi = ub
+		next := cur
+		if ub := upperCrossover(&fOpt, &fAlt, est, costOptEst, costAltEst); ub < next.Hi {
+			next.Hi = ub
 		}
-		if lb := lowerCrossover(fOpt, fAlt, est, costOptEst, costAltEst); lb > cur.Lo {
-			cur.Lo = lb
+		if lb := lowerCrossover(&fOpt, &fAlt, est, costOptEst, costAltEst); lb > next.Lo {
+			next.Lo = lb
 		}
-		popt.SetEdgeValidity(k, cur)
+		if next != cur {
+			popt.SetEdgeValidity(k, next)
+		}
 	}
 }
 
-// edgeCostFn returns f(card) = total cost of p with child edge k's
-// cardinality overridden to card — CostWithEdgeCard with the snapshot and
-// child-cost arrays built once instead of per evaluation.
-func (m *CostModel) edgeCostFn(p *Plan, k int) func(float64) float64 {
-	cc := p.childCardsSnapshot()
-	cs := p.childCosts()
-	return func(card float64) float64 {
-		cc[k] = card
-		return m.Recost(p, cc, cs)
-	}
+// edgeCost is f(card) = total cost of plan p with child edge k's cardinality
+// overridden to card, every other input held at its estimate. It is a value
+// with fixed-size arrays rather than a closure over slices so the crossover
+// searches run without heap allocation.
+type edgeCost struct {
+	m      *CostModel
+	p      *Plan
+	k      int
+	cc, cs [2]float64
 }
 
-// upperCrossover / lowerCrossover method forms: build the per-edge cost
-// closures and evaluate at the estimate, then run the shared search. Used by
-// tests and one-off callers; narrowValidity inlines this to share the
-// closures between both directions.
+func newEdgeCost(m *CostModel, p *Plan, k int) edgeCost {
+	e := edgeCost{m: m, p: p, k: k}
+	e.cc, e.cs = childEstimates(p)
+	return e
+}
+
+// at evaluates the cost with the edge's cardinality set to card.
+func (e *edgeCost) at(card float64) float64 {
+	n := len(e.p.Children)
+	e.cc[e.k] = card
+	return e.m.Recost(e.p, e.cc[:n], e.cs[:n])
+}
+
+// upperCrossover / lowerCrossover method forms evaluate both plans at the
+// estimate and run one search; narrowValidity shares those evaluations
+// between both directions instead.
 func (m *CostModel) upperCrossover(popt *Plan, k int, palt *Plan, j int) float64 {
-	fOpt := m.edgeCostFn(popt, k)
-	fAlt := m.edgeCostFn(palt, j)
+	fOpt, fAlt := newEdgeCost(m, popt, k), newEdgeCost(m, palt, j)
 	est := math.Max(popt.Children[k].Card, 1e-6)
-	return upperCrossover(fOpt, fAlt, est, fOpt(est), fAlt(est))
+	return upperCrossover(&fOpt, &fAlt, est, fOpt.at(est), fAlt.at(est))
 }
 
 func (m *CostModel) lowerCrossover(popt *Plan, k int, palt *Plan, j int) float64 {
-	fOpt := m.edgeCostFn(popt, k)
-	fAlt := m.edgeCostFn(palt, j)
+	fOpt, fAlt := newEdgeCost(m, popt, k), newEdgeCost(m, palt, j)
 	est := math.Max(popt.Children[k].Card, 1e-6)
-	return lowerCrossover(fOpt, fAlt, est, fOpt(est), fAlt(est))
+	return lowerCrossover(&fOpt, &fAlt, est, fOpt.at(est), fAlt.at(est))
 }
 
 // edgeCheckable reports whether child edge k of p carries the child's full
@@ -117,7 +125,7 @@ func matchingEdge(p *Plan, mask uint64) int {
 // at the estimate. It returns +Inf if no crossover is found within the
 // iteration budget (conservative: the edge stays unbounded above with
 // respect to this alternative).
-func upperCrossover(fOpt, fAlt func(float64) float64, est, costOptEst, costAltEst float64) float64 {
+func upperCrossover(fOpt, fAlt *edgeCost, est, costOptEst, costAltEst float64) float64 {
 	card := est
 	costOpt, costAlt := costOptEst, costAltEst
 	if costAlt < costOpt {
@@ -128,7 +136,7 @@ func upperCrossover(fOpt, fAlt func(float64) float64, est, costOptEst, costAltEs
 	for iter := 0; iter < validityIterations; iter++ {
 		currDiff := costAlt - costOpt
 		card *= 1.1 // need another point to estimate the gradient (Fig. 5b)
-		costOpt, costAlt = fOpt(card), fAlt(card)
+		costOpt, costAlt = fOpt.at(card), fAlt.at(card)
 		newDiff := costAlt - costOpt
 		if newDiff < 0 {
 			return card // cost inversion observed: a provable crossover
@@ -140,7 +148,7 @@ func upperCrossover(fOpt, fAlt func(float64) float64, est, costOptEst, costAltEs
 		} else {
 			card *= 10 // flat difference: probe much further out
 		}
-		costOpt, costAlt = fOpt(card), fAlt(card)
+		costOpt, costAlt = fOpt.at(card), fAlt.at(card)
 		if costAlt < costOpt {
 			return card
 		}
@@ -150,7 +158,7 @@ func upperCrossover(fOpt, fAlt func(float64) float64, est, costOptEst, costAltEs
 
 // lowerCrossover is the downward mirror of upperCrossover, returning 0 when
 // no crossover is found below the estimate.
-func lowerCrossover(fOpt, fAlt func(float64) float64, est, costOptEst, costAltEst float64) float64 {
+func lowerCrossover(fOpt, fAlt *edgeCost, est, costOptEst, costAltEst float64) float64 {
 	card := est
 	costOpt, costAlt := costOptEst, costAltEst
 	if costAlt < costOpt {
@@ -159,7 +167,7 @@ func lowerCrossover(fOpt, fAlt func(float64) float64, est, costOptEst, costAltEs
 	for iter := 0; iter < validityIterations; iter++ {
 		currDiff := costAlt - costOpt
 		card *= 0.9
-		costOpt, costAlt = fOpt(card), fAlt(card)
+		costOpt, costAlt = fOpt.at(card), fAlt.at(card)
 		newDiff := costAlt - costOpt
 		if newDiff < 0 {
 			return card
@@ -174,7 +182,7 @@ func lowerCrossover(fOpt, fAlt func(float64) float64, est, costOptEst, costAltEs
 		if card < 1e-9 {
 			return 0
 		}
-		costOpt, costAlt = fOpt(card), fAlt(card)
+		costOpt, costAlt = fOpt.at(card), fAlt.at(card)
 		if costAlt < costOpt {
 			return card
 		}

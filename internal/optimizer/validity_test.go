@@ -211,3 +211,21 @@ func TestEdgeCheckable(t *testing.T) {
 		t.Error("hash join: both edges checkable")
 	}
 }
+
+// TestCostingDoesNotAllocate pins the stack-resident cost evaluation: the
+// validity-range search and candidate costing run for every candidate the
+// enumeration builds, so a heap allocation here (an escaping evaluator
+// closure, a per-call child snapshot slice) costs about a million
+// allocations per DMV statement.
+func TestCostingDoesNotAllocate(t *testing.T) {
+	popt, palt, m := nljnVsHsjn(100)
+	if n := testing.AllocsPerRun(100, func() { m.finishCosting(palt) }); n != 0 {
+		t.Errorf("finishCosting on a 2-child join: %v allocs, want 0", n)
+	}
+	// The first narrowing allocates popt's validity slice; later ones reuse
+	// it.
+	m.narrowValidity(popt, palt)
+	if n := testing.AllocsPerRun(100, func() { m.narrowValidity(popt, palt) }); n != 0 {
+		t.Errorf("narrowValidity between two 2-child joins: %v allocs, want 0", n)
+	}
+}
