@@ -10,9 +10,9 @@ import (
 
 // TestExplainDeterminism pins the map-order audit: optimizing the same
 // query repeatedly — fresh optimizer, fresh query build each round — must
-// produce byte-identical EXPLAIN text. Before the orderedGroup fixes, a
-// cost tie in the per-subset plan groups could break differently per map
-// iteration and flip the printed plan between runs.
+// produce byte-identical EXPLAIN text. When the per-subset plan groups were
+// maps visited in iteration order, a cost tie could break differently per
+// run and flip the printed plan.
 func TestExplainDeterminism(t *testing.T) {
 	cat := fixture(t)
 

@@ -400,7 +400,7 @@ func (pl *planner) baseAccessPaths(ti int) []*Plan {
 	local := pl.facts.local[ti]
 	baseRows := t.RowCount()
 	fCard := pl.est.filteredBaseCard(ti)
-	cols := pl.facts.cols[ti]
+	cols := pl.facts.tableCols(ti)
 	mask := uint64(1) << uint(ti)
 
 	var paths []*Plan
@@ -902,7 +902,7 @@ func (pl *planner) indexProbePlan(sp *joinSplit, ij *indexJoin, outer *Plan) *Pl
 		Table:    sp.ti,
 		IndexOrd: ij.ord,
 		Filter:   pl.facts.localAnd[sp.ti],
-		Cols:     pl.facts.cols[sp.ti],
+		Cols:     pl.facts.tableCols(sp.ti),
 		Card:     perProbe,
 		Cost:     cost,
 		tables:   uint64(1) << uint(sp.ti),

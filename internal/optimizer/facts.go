@@ -22,7 +22,7 @@ type queryFacts struct {
 	localAnd []expr.Expr   // per table, its local conjuncts conjoined (nil if none)
 	joins    []predMask    // the conjuncts over two or more tables, in WHERE order
 	colTable []int         // owning table index of each query-global column id
-	cols     [][]int       // per table, the global ids of all its columns
+	ids      []int         // ids[g] = g for every query-global column id; see tableCols
 }
 
 // predMask pairs a predicate with its precomputed table mask.
@@ -32,19 +32,20 @@ type predMask struct {
 }
 
 func newQueryFacts(q *logical.Query) *queryFacts {
+	n := q.NumColumns()
+	byCol := make([]int, 2*n) // one allocation for both per-column slices
 	f := &queryFacts{
 		q:        q,
 		masks:    make([]uint64, len(q.Where)),
 		local:    make([][]expr.Expr, len(q.Tables)),
-		colTable: make([]int, q.NumColumns()),
-		cols:     make([][]int, len(q.Tables)),
+		colTable: byCol[:n:n],
+		ids:      byCol[n:],
 	}
 	for ti := range q.Tables {
-		f.cols[ti] = make([]int, q.Schemas[ti].Len())
-		for ord := range f.cols[ti] {
+		for ord := 0; ord < q.Schemas[ti].Len(); ord++ {
 			g := q.GlobalID(ti, ord)
-			f.cols[ti][ord] = g
 			f.colTable[g] = ti
+			f.ids[g] = g
 		}
 	}
 	for i, p := range q.Where {
@@ -64,6 +65,14 @@ func newQueryFacts(q *logical.Query) *queryFacts {
 		f.localAnd[ti] = expr.Conjoin(preds...)
 	}
 	return f
+}
+
+// tableCols returns the global ids of all of table ti's columns, in column
+// order. Plans share the slice, so it is capped to keep an append from
+// reaching the next table's ids.
+func (f *queryFacts) tableCols(ti int) []int {
+	lo, hi := f.q.Base(ti), f.q.Base(ti)+f.q.Schemas[ti].Len()
+	return f.ids[lo:hi:hi]
 }
 
 // tableOf returns the index of the table owning global column id g, or -1.
