@@ -85,16 +85,10 @@ func (e *estimator) lookup() stats.Lookup { return e.lk }
 // local predicates and all internal join predicates). Two structurally
 // equivalent subplans share a signature regardless of operator choice or
 // join order — the key property for cardinality feedback and MV matching.
-func Signature(q *logical.Query, mask uint64) string {
-	masks := make([]uint64, len(q.Where))
-	for i, p := range q.Where {
-		masks[i] = q.TablesUsed(p)
-	}
-	return signature(q, masks, mask)
-}
+func Signature(q *logical.Query, mask uint64) string { return signature(q, nil, mask) }
 
 // signature is Signature with the conjuncts' table masks (parallel to
-// q.Where) supplied by the caller.
+// q.Where) supplied by the caller, or derived here when masks is nil.
 func signature(q *logical.Query, masks []uint64, mask uint64) string {
 	var aliases []string
 	for i := range q.Tables {
@@ -105,7 +99,13 @@ func signature(q *logical.Query, masks []uint64, mask uint64) string {
 	sort.Strings(aliases)
 	var preds []string
 	for i, p := range q.Where {
-		if used := masks[i]; used != 0 && used&mask == used {
+		var used uint64
+		if masks != nil {
+			used = masks[i]
+		} else {
+			used = q.TablesUsed(p)
+		}
+		if used != 0 && used&mask == used {
 			preds = append(preds, predSignature(q, p))
 		}
 	}
