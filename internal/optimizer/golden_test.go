@@ -67,8 +67,8 @@ func dumpPlan(b *strings.Builder, p *optimizer.Plan, q *logical.Query, depth int
 
 // dumpOptimizations writes each optimize_done event's candidate count and
 // cost, in call order.
-func dumpOptimizations(b *strings.Builder, col *trace.Collector) {
-	for i, ev := range col.OfKind(trace.OptimizeDone) {
+func dumpOptimizations(b *strings.Builder, evs []trace.Event) {
+	for i, ev := range evs {
 		fmt.Fprintf(b, "optimize %d: candidates=%d cost=%s\n", i, ev.Opt.Candidates, hexf(ev.Opt.Cost))
 	}
 }
@@ -96,7 +96,7 @@ func popGolden(t *testing.T, b *strings.Builder, section string, cat *catalog.Ca
 			t.Fatalf("%s %s: %v", section, name, err)
 		}
 		fmt.Fprintf(b, "== %s %s ==\n", section, name)
-		dumpOptimizations(b, col)
+		dumpOptimizations(b, col.OfKind(trace.OptimizeDone))
 		dumpResult(b, res, q)
 	}
 }
@@ -164,9 +164,7 @@ func TestOptimizerGolden(t *testing.T) {
 			t.Fatalf("Q10Param(qty=%g): %v", qty, err)
 		}
 		fmt.Fprintf(&b, "== plancache Q10Param qty=%g hit=%v invalidated=%v ==\n", qty, info.Hit, info.Invalidated)
-		for i, ev := range col.OfKind(trace.OptimizeDone)[before:] {
-			fmt.Fprintf(&b, "optimize %d: candidates=%d cost=%s\n", i, ev.Opt.Candidates, hexf(ev.Opt.Cost))
-		}
+		dumpOptimizations(&b, col.OfKind(trace.OptimizeDone)[before:])
 		dumpResult(&b, res, q10)
 		for i, cp := range runner.Cache.Entry(info.Key).Plans() {
 			fmt.Fprintf(&b, "cached plan %d:\n", i)
