@@ -50,7 +50,8 @@ type Registry struct {
 
 	rows       atomic.Int64
 	execTicks  atomic.Int64 // work units across completed queries
-	candidates atomic.Int64 // optimizer candidate costings
+	candidates atomic.Int64 // optimizer plan space enumerated, costed or carried over
+	reused     atomic.Int64 // candidates carried over from a statement's memo
 
 	mu          sync.Mutex
 	workByClass map[string]float64 // operator class → work units (analyze mode)
@@ -88,6 +89,7 @@ func (r *Registry) Record(ev trace.Event) {
 	case trace.OptimizeDone:
 		if ev.Opt != nil {
 			r.candidates.Add(int64(ev.Opt.Candidates))
+			r.reused.Add(int64(ev.Opt.Reused))
 		}
 	case trace.CheckpointPassed:
 		r.passed.Add(1)
@@ -176,6 +178,7 @@ type Snapshot struct {
 	ExecWork      float64 `json:"exec_work"`
 	WorkerWork    float64 `json:"worker_work"`
 	OptCandidates int64   `json:"opt_candidates"`
+	OptReused     int64   `json:"opt_reused"` // the part of OptCandidates carried over, not costed
 
 	// CacheHitRatio is hits / (hits + misses); zero when the cache was idle.
 	CacheHitRatio float64 `json:"cache_hit_ratio"`
@@ -212,6 +215,7 @@ func (r *Registry) Snapshot() Snapshot {
 		ExecWork:          float64(r.execTicks.Load()) / workTick,
 		WorkerWork:        float64(r.workerTicks.Load()) / workTick,
 		OptCandidates:     r.candidates.Load(),
+		OptReused:         r.reused.Load(),
 	}
 	if n := s.CacheHits + s.CacheMisses; n > 0 {
 		s.CacheHitRatio = float64(s.CacheHits) / float64(n)
@@ -261,6 +265,7 @@ func (s Snapshot) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "%-22s %.1f\n", "exec work", s.ExecWork)
 	fmt.Fprintf(w, "%-22s %.1f\n", "worker work", s.WorkerWork)
 	line("opt candidates", s.OptCandidates)
+	line("opt reused", s.OptReused)
 	if len(s.WorkByClass) > 0 {
 		classes := make([]string, 0, len(s.WorkByClass))
 		for c := range s.WorkByClass {

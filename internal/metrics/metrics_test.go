@@ -20,7 +20,7 @@ func feed(r *Registry) {
 		{Kind: trace.CheckpointViolated, Check: &trace.CheckInfo{ID: 0, Est: 320, Actual: 8000}},
 		{Kind: trace.Reoptimize, Reopt: &trace.ReoptInfo{MVsCreated: 1, FeedbackN: 4}},
 		{Kind: trace.OptimizeStart, Attempt: 1},
-		{Kind: trace.OptimizeDone, Attempt: 1, Opt: &trace.OptInfo{Candidates: 80, Checks: 1}},
+		{Kind: trace.OptimizeDone, Attempt: 1, Opt: &trace.OptInfo{Candidates: 80, Reused: 30, Checks: 1}},
 		{Kind: trace.WorkerStart, Worker: &trace.WorkerInfo{Phase: "gather", Worker: 0, DOP: 2}},
 		{Kind: trace.WorkerStart, Worker: &trace.WorkerInfo{Phase: "gather", Worker: 1, DOP: 2}},
 		{Kind: trace.WorkerDrain, Worker: &trace.WorkerInfo{Phase: "gather", Worker: 0, DOP: 2, Rows: 100, Work: 30}},
@@ -66,6 +66,7 @@ func TestSnapshotCounters(t *testing.T) {
 		{"WorkersDrained", s.WorkersDrained, 2},
 		{"RowsReturned", s.RowsReturned, 8012},
 		{"OptCandidates", s.OptCandidates, 200},
+		{"OptReused", s.OptReused, 30},
 	}
 	for _, c := range intChecks {
 		if c.got != c.want {
@@ -125,7 +126,7 @@ func TestWriteText(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		"queries", "reoptimizations", "cache hit ratio", "worker utilization",
-		"work by operator class:", "scan", "join",
+		"work by operator class:", "scan", "join", "opt reused",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("WriteText output missing %q:\n%s", want, out)

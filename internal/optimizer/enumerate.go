@@ -75,11 +75,19 @@ type Optimizer struct {
 	// future binding — the property the plan cache relies on.
 	ParamBindings []types.Datum
 
-	// EnumeratedCandidates is set by each Optimize call to the number of
-	// candidate plans the enumeration costed — the measure of optimization
-	// work a plan-cache hit avoids. Like the rest of the struct it is not
-	// safe for concurrent Optimize calls on one Optimizer.
+	// Memo, when non-nil, carries the DP plan groups across Optimize calls
+	// for the same statement (see Memo): a re-optimization reuses every
+	// subset whose inputs are unchanged. Nil enumerates everything afresh.
+	Memo *Memo
+
+	// EnumeratedCandidates is set by each Optimize call to the size of the
+	// plan space the enumeration covered: the candidates it costed plus
+	// those carried over from the Memo — the measure of optimization work a
+	// plan-cache hit avoids. ReusedCandidates is the carried-over part. Like
+	// the rest of the struct they are not safe for concurrent Optimize calls
+	// on one Optimizer.
 	EnumeratedCandidates int
+	ReusedCandidates     int
 
 	// DOPAdvisor, when non-nil, is consulted for the DOP recorded on each
 	// exchange the parallelize post-pass places: given the configured worker
@@ -116,13 +124,18 @@ type planner struct {
 	// validity narrowing the same from run to run.
 	best map[uint64][]*Plan
 
-	// candidates counts addCandidate offers (see EnumeratedCandidates).
+	// candidates counts addCandidate offers plus the offers of groups
+	// carried over from memo (see EnumeratedCandidates); reused counts the
+	// latter. memo is nil off the DP path.
 	candidates int
+	reused     int
+	memo       *Memo
 }
 
 // Optimize compiles the query into the cheapest physical plan, computing
 // validity ranges on plan edges along the way.
 func (o *Optimizer) Optimize(q *logical.Query) (*Plan, error) {
+	o.ReusedCandidates = 0
 	tabs := make([]*catalog.Table, len(q.Tables))
 	for i, tr := range q.Tables {
 		t, err := o.Cat.Table(tr.Table)
@@ -151,13 +164,16 @@ func (o *Optimizer) Optimize(q *logical.Query) (*Plan, error) {
 	}
 	pl.est.uncertainty = o.UncertaintyPenalty
 	o.Model.RobustnessBonus = o.RobustnessBonus
-	for ti := range tabs {
-		for _, ap := range pl.baseAccessPaths(ti) {
-			pl.addCandidate(ap)
-		}
-	}
 	n := len(tabs)
 	full := uint64(1)<<uint(n) - 1
+	greedy := n > 1 && (o.JoinOrder == JoinOrderGreedy || n > o.GreedyThreshold)
+	if o.Memo != nil && !greedy {
+		pl.memo = o.Memo
+		pl.memo.begin(o, q, tabs)
+	}
+	for ti := range tabs {
+		pl.planBase(ti)
+	}
 	if n > 1 {
 		switch {
 		case o.JoinOrder == JoinOrderGreedy:
@@ -174,7 +190,10 @@ func (o *Optimizer) Optimize(q *logical.Query) (*Plan, error) {
 			}
 		}
 	}
-	o.EnumeratedCandidates = pl.candidates
+	if pl.memo != nil {
+		pl.memo.end(pl.best)
+	}
+	o.EnumeratedCandidates, o.ReusedCandidates = pl.candidates, pl.reused
 	join := pl.bestOf(full)
 	if join == nil {
 		return nil, maskError(pl.est, full)
@@ -391,10 +410,25 @@ func (pl *planner) orderedOn(mask uint64, col int) *Plan {
 	return nil
 }
 
+// planBase fills table ti's plan group, carrying it over from the memo when
+// its inputs are unchanged.
+func (pl *planner) planBase(ti int) {
+	mask := uint64(1) << uint(ti)
+	view := pl.view(mask)
+	if pl.carry(mask, view) {
+		return
+	}
+	before := pl.candidates
+	for _, ap := range pl.baseAccessPaths(ti, view) {
+		pl.addCandidate(ap)
+	}
+	pl.built(mask, before)
+}
+
 // baseAccessPaths generates the single-table access plans: sequential scan,
 // index scans (sargable and order-providing), and — during re-optimization —
-// a scan of a matching temporary materialized view.
-func (pl *planner) baseAccessPaths(ti int) []*Plan {
+// a scan of view, the table's matching temporary materialized view if any.
+func (pl *planner) baseAccessPaths(ti int, view *catalog.MatView) []*Plan {
 	q, t := pl.q, pl.tabs[ti]
 	pr := &pl.opt.Model.Params
 	local := pl.facts.local[ti]
@@ -494,8 +528,8 @@ func (pl *planner) baseAccessPaths(ti int) []*Plan {
 		})
 	}
 
-	if mv := pl.matchMV(mask); mv != nil {
-		paths = append(paths, mv)
+	if view != nil {
+		paths = append(paths, pl.mvScan(mask, view))
 	}
 	return paths
 }
@@ -504,13 +538,23 @@ func (pl *planner) baseAccessPaths(ti int) []*Plan {
 // the subset's signature (paper §2.3: intermediate results are offered to
 // the optimizer as materialized views and chosen only if they win on cost).
 func (pl *planner) matchMV(mask uint64) *Plan {
+	if mv := pl.view(mask); mv != nil {
+		return pl.mvScan(mask, mv)
+	}
+	return nil
+}
+
+// view returns the temporary materialized view matching the subset's
+// signature, or nil.
+func (pl *planner) view(mask uint64) *catalog.MatView {
 	if pl.opt.DisableMVReuse {
 		return nil
 	}
-	mv := pl.opt.Cat.View(pl.opt.MVNamespace + pl.est.Signature(mask))
-	if mv == nil {
-		return nil
-	}
+	return pl.opt.Cat.View(pl.opt.MVNamespace + pl.est.Signature(mask))
+}
+
+// mvScan builds the MVSCAN plan reading view mv for the subset.
+func (pl *planner) mvScan(mask uint64, mv *catalog.MatView) *Plan {
 	ordered := -1
 	if mv.Sorted {
 		ordered = mv.OrderedCol
@@ -592,8 +636,14 @@ func (pl *planner) enumerateDP(full uint64) {
 }
 
 // expandSubset generates join plans for a subset from its left-deep splits
-// and offers a matching MV as an alternative.
+// and offers a matching MV as an alternative — or carries the subset's group
+// over from the memo when its inputs are unchanged.
 func (pl *planner) expandSubset(mask uint64) {
+	view := pl.view(mask)
+	if pl.carry(mask, view) {
+		return
+	}
+	before := pl.candidates
 	// Bit ti of splits marks a usable split (mask minus ti has plans); of
 	// connected, a split with a join predicate across it.
 	var splits, connected uint64
@@ -619,9 +669,10 @@ func (pl *planner) expandSubset(mask uint64) {
 			pl.joinAll(mask&^bit, ti)
 		}
 	}
-	if mv := pl.matchMV(mask); mv != nil {
-		pl.addCandidate(mv)
+	if view != nil {
+		pl.addCandidate(pl.mvScan(mask, view))
 	}
+	pl.built(mask, before)
 }
 
 // enumerateGreedy folds tables into a left-deep chain, at each step choosing

@@ -218,6 +218,11 @@ func (r *Runner) Run(q *logical.Query, params []types.Datum) (*Result, error) {
 		tr = &stampRecorder{r: r.Opts.Trace, query: querySig(sigQ)}
 	}
 
+	// One memo per statement, made by its first optimization: each
+	// re-optimization reuses the plan groups of the previous enumeration
+	// that feedback and new temp MVs left untouched. A plan-cache hit that
+	// never re-optimizes allocates none.
+	var memo *optimizer.Memo
 	for attempt := 0; ; attempt++ {
 		if tr != nil {
 			tr.attempt.Store(int32(attempt))
@@ -243,6 +248,10 @@ func (r *Runner) Run(q *logical.Query, params []types.Datum) (*Result, error) {
 			if tr != nil {
 				tr.Record(trace.Event{Kind: trace.OptimizeStart})
 			}
+			if memo == nil {
+				memo = &optimizer.Memo{}
+			}
+			opt.Memo = memo
 			var err error
 			plan, err = opt.Optimize(q)
 			if err != nil {
@@ -260,6 +269,7 @@ func (r *Runner) Run(q *logical.Query, params []types.Datum) (*Result, error) {
 				PlanSig:    PlanSig(plan, q),
 				Cost:       plan.Cost,
 				Candidates: opt.EnumeratedCandidates,
+				Reused:     opt.ReusedCandidates,
 				Checks:     checks,
 			}})
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/metrics"
 	"repro/internal/tpch"
 	"repro/internal/trace"
 	"repro/internal/types"
@@ -202,6 +203,53 @@ func TestTracedQ10(t *testing.T) {
 	}
 	if len(col.OfKind(trace.QueryDone)) != 1 {
 		t.Error("traced Q10 must close with one query_done")
+	}
+}
+
+// TestReusedCandidatesCounted checks the reuse accounting end to end: the
+// metrics registry's reused counter equals the sum of the optimize_done
+// events' Reused fields, the first optimization reuses nothing, and a
+// re-optimization of TPC-H Q10 carries part of its plan space over from the
+// statement's memo.
+func TestReusedCandidatesCounted(t *testing.T) {
+	cat := catalog.New()
+	if err := tpch.Load(cat, tpch.Config{ScaleFactor: 0.005, Seed: 42}); err != nil {
+		t.Fatal(err)
+	}
+	q, err := tpch.Q10Param(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := trace.NewCollector()
+	reg := metrics.New()
+	opts := DefaultOptions()
+	opts.Trace = trace.Multi(reg, col)
+	res, err := NewRunner(cat, opts).Run(q, []types.Datum{types.NewFloat(50)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := col.OfKind(trace.OptimizeDone)
+	if res.Reopts == 0 || len(done) != res.Reopts+1 {
+		t.Fatalf("%d optimizations for %d re-optimizations", len(done), res.Reopts)
+	}
+	var reused, candidates int64
+	for i, ev := range done {
+		if i == 0 && ev.Opt.Reused != 0 {
+			t.Errorf("first optimization reused %d candidates", ev.Opt.Reused)
+		}
+		if ev.Opt.Reused > ev.Opt.Candidates {
+			t.Errorf("optimization %d reused %d of %d candidates", i, ev.Opt.Reused, ev.Opt.Candidates)
+		}
+		reused += int64(ev.Opt.Reused)
+		candidates += int64(ev.Opt.Candidates)
+	}
+	if reused == 0 {
+		t.Error("no re-optimization reused a candidate")
+	}
+	s := reg.Snapshot()
+	if s.OptReused != reused || s.OptCandidates != candidates {
+		t.Errorf("registry counts %d reused of %d, events sum to %d of %d",
+			s.OptReused, s.OptCandidates, reused, candidates)
 	}
 }
 

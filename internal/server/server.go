@@ -76,6 +76,16 @@ type Server struct {
 	mu       sync.Mutex
 	conns    map[net.Conn]struct{}
 	shutdown bool
+	// pending counts TCP requests whose response is not yet written. A
+	// query releases its run slot before its response goes out, so a drained
+	// scheduler does not mean every response is out; Shutdown waits for
+	// pending to reach zero, through idle, before it closes connections.
+	pending int
+	idle    chan struct{} // set while Shutdown waits; closed at pending == 0
+
+	// beforeSend, when non-nil, runs between a request's execution and the
+	// write of its response (tests hold that window open with it).
+	beforeSend func()
 
 	wg sync.WaitGroup
 }
@@ -284,11 +294,57 @@ func (s *Server) serveConn(conn net.Conn) {
 			send(Response{ID: req.ID, OK: true})
 			return
 		}
+		s.beginResponse()
 		reqWG.Add(1)
 		go func(req Request) {
 			defer reqWG.Done()
-			send(s.serveRequest(ctx, session, req))
+			defer s.endResponse()
+			resp := s.serveRequest(ctx, session, req)
+			if s.beforeSend != nil {
+				s.beforeSend()
+			}
+			send(resp)
 		}(req)
+	}
+}
+
+// beginResponse registers a request whose response is still to be written.
+func (s *Server) beginResponse() {
+	s.mu.Lock()
+	s.pending++
+	s.mu.Unlock()
+}
+
+// endResponse marks a registered request's response written (or abandoned)
+// and wakes a waiting Shutdown when it was the last one.
+func (s *Server) endResponse() {
+	s.mu.Lock()
+	s.pending--
+	if s.pending == 0 && s.idle != nil {
+		close(s.idle)
+		s.idle = nil
+	}
+	s.mu.Unlock()
+}
+
+// awaitResponses blocks until every registered request has written its
+// response, or ctx ends.
+func (s *Server) awaitResponses(ctx context.Context) error {
+	s.mu.Lock()
+	if s.pending == 0 {
+		s.mu.Unlock()
+		return nil
+	}
+	if s.idle == nil {
+		s.idle = make(chan struct{})
+	}
+	idle := s.idle
+	s.mu.Unlock()
+	select {
+	case <-idle:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
@@ -359,9 +415,9 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 }
 
 // Shutdown drains and stops the server: the scheduler rejects new
-// admissions with ErrDraining and in-flight queries run to completion
-// (bounded by DrainTimeout), then listeners and connections close and the
-// trace sink flushes. Safe to call once.
+// admissions with ErrDraining, in-flight queries run to completion and
+// their responses are written (bounded by DrainTimeout), then listeners and
+// connections close and the trace sink flushes. Safe to call once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.shutdown = true
@@ -370,6 +426,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	dctx, cancel := context.WithTimeout(ctx, s.cfg.DrainTimeout)
 	defer cancel()
 	drainErr := s.sched.Drain(dctx)
+	if drainErr == nil {
+		drainErr = s.awaitResponses(dctx)
+	}
 
 	var errs []error
 	if drainErr != nil {

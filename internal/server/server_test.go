@@ -314,6 +314,71 @@ func TestServerGracefulShutdown(t *testing.T) {
 	}
 }
 
+// TestShutdownWaitsForResponseWrite is the regression test for the drain
+// race: a query releases its run slot before its response is written, and a
+// Shutdown landing in that window used to see a drained scheduler and close
+// the connection under the unwritten response. The test holds the window
+// open until Shutdown has either closed the connections or is waiting for
+// the response, so the old race fails every time.
+func TestShutdownWaitsForResponseWrite(t *testing.T) {
+	cat := tpchCat(t, 0.002)
+	s := New(cat, Config{Workers: 2, Sched: SchedConfig{WorkerBudget: 2, RunSlots: 1}})
+	inWindow := make(chan struct{})
+	var once sync.Once
+	s.beforeSend = func() {
+		once.Do(func() { close(inWindow) })
+		for {
+			s.mu.Lock()
+			decided := len(s.conns) == 0 || s.idle != nil
+			s.mu.Unlock()
+			if decided {
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		resp Response
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		resp, err := c.Query(q10SQL, Float(25))
+		done <- result{resp, err}
+	}()
+	<-inWindow
+	if st := s.Scheduler().Stats(); st.Running != 0 {
+		t.Fatalf("query still holds a run slot in the release-to-send window: %+v", st)
+	}
+
+	shutdownErr := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		shutdownErr <- s.Shutdown(ctx)
+	}()
+	got := <-done
+	if got.err != nil {
+		t.Fatalf("response lost to the drain: %v", got.err)
+	}
+	if !got.resp.OK || got.resp.RowCount == 0 {
+		t.Fatalf("in-flight query: ok=%v rows=%d %s", got.resp.OK, got.resp.RowCount, got.resp.Error)
+	}
+	if err := <-shutdownErr; err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if err := c.Close(); err != nil {
+		t.Logf("client close after server shutdown: %v", err)
+	}
+}
+
 // TestServerBackpressure pins the per-session queue allowance over the
 // wire: with one run slot held and a one-deep session queue, a session's
 // third concurrent query bounces with the typed "backpressure" code.

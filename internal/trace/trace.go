@@ -92,7 +92,8 @@ type CheckInfo struct {
 type OptInfo struct {
 	PlanSig    string  `json:"plan_sig"` // FNV-64a of the rendered plan, hex
 	Cost       float64 `json:"cost"`
-	Candidates int     `json:"candidates"` // plans costed during enumeration
+	Candidates int     `json:"candidates"` // plan space enumerated: plans costed plus Reused
+	Reused     int     `json:"reused"`     // candidates carried over from the previous attempt's memo
 	Checks     int     `json:"checks"`     // checkpoints placed
 }
 
