@@ -90,7 +90,13 @@ func TestIndependenceUnderestimates(t *testing.T) {
 		tab, _ := cat.Table(q.Tables[ti].Table)
 		return tab.Stats(q.OrdinalOf(pos))
 	}
-	for _, p := range q.LocalPredicates(0) { // car is table 0
+	var local []expr.Expr // the WHERE conjuncts on car (table 0) alone
+	for _, p := range q.Where {
+		if q.TablesUsed(p) == 1 {
+			local = append(local, p)
+		}
+	}
+	for _, p := range local {
 		est *= stats.Selectivity(p, lk)
 	}
 	// Actual: evaluate the predicates.
@@ -102,7 +108,7 @@ func TestIndependenceUnderestimates(t *testing.T) {
 			break
 		}
 		keep := true
-		for _, p := range q.LocalPredicates(0) {
+		for _, p := range local {
 			// CAR is table 0 with global-id base 0, so global ids are
 			// already heap ordinals.
 			v, err := p.Eval(nil, row)

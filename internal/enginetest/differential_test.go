@@ -111,8 +111,10 @@ func buildRandomDB(t *testing.T, r *diffRNG) (*catalog.Catalog, []diffTable) {
 	return cat, tables
 }
 
-// buildRandomQuery joins the chain t0 ← t1 ← ... via fk=id and adds random
-// local predicates; selects one column per table.
+// buildRandomQuery joins the chain t0 ← t1 ← ... via fk=id, sometimes with a
+// second cross-table conjunct that every join method must apply as a
+// residual or extra key, and adds random local predicates; selects one
+// column per table.
 func buildRandomQuery(t *testing.T, cat *catalog.Catalog, tables []diffTable, r *diffRNG) *logical.Query {
 	t.Helper()
 	b := logical.NewBuilder(cat)
@@ -120,10 +122,26 @@ func buildRandomQuery(t *testing.T, cat *catalog.Catalog, tables []diffTable, r 
 		b.AddTable(tables[i].name, fmt.Sprintf("a%d", i))
 	}
 	for i := 1; i < len(tables); i++ {
-		b.Where(&expr.Cmp{Op: expr.EQ,
-			L: b.Col(fmt.Sprintf("a%d", i), "fk"),
-			R: b.Col(fmt.Sprintf("a%d", i-1), "id"),
-		})
+		cur, prev := fmt.Sprintf("a%d", i), fmt.Sprintf("a%d", i-1)
+		b.Where(&expr.Cmp{Op: expr.EQ, L: b.Col(cur, "fk"), R: b.Col(prev, "id")})
+		// The residual kinds: nullable val = val, val < val, tag = tag.
+		residual := func(kind int) expr.Expr {
+			switch kind {
+			case 0:
+				return &expr.Cmp{Op: expr.EQ, L: b.Col(cur, "val"), R: b.Col(prev, "val")}
+			case 1:
+				return &expr.Cmp{Op: expr.LT, L: b.Col(prev, "val"), R: b.Col(cur, "val")}
+			default:
+				return &expr.Cmp{Op: expr.EQ, L: b.Col(prev, "tag"), R: b.Col(cur, "tag")}
+			}
+		}
+		switch kind := r.intn(5); kind {
+		case 0, 1, 2:
+			b.Where(residual(kind))
+		case 3:
+			k := r.intn(3)
+			b.Where(&expr.Logic{Op: expr.Or, Args: []expr.Expr{residual(k), residual((k + 1 + r.intn(2)) % 3)}})
+		}
 	}
 	// Random local predicates.
 	for i := range tables {

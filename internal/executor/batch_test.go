@@ -28,20 +28,6 @@ func TestBatchAllocSlabSemantics(t *testing.T) {
 		t.Error("carved rows lost their values")
 	}
 
-	// dropLast reclaims the slab tail: the next Alloc reuses the same space.
-	b.dropLast(3)
-	if b.Len() != 1 {
-		t.Fatalf("len after dropLast = %d", b.Len())
-	}
-	r3 := b.Alloc(3)
-	r3[0], r3[1], r3[2] = types.NewInt(7), types.NewInt(8), types.NewInt(9)
-	if b.Rows[1][0].Int() != 7 {
-		t.Error("Alloc after dropLast did not reuse the tail")
-	}
-	if b.Rows[0][0].Int() != 1 {
-		t.Error("dropLast corrupted an earlier row")
-	}
-
 	// Slab growth mid-batch must leave previously carved rows intact.
 	g := NewBatch(2)
 	a := g.Alloc(2)
@@ -199,44 +185,72 @@ func TestBatchMatchesRowExecution(t *testing.T) {
 
 // TestBatchParallelMatchesRow extends the invariant across exchanges: the
 // partitioned hash join's work total must be identical across row/batch mode
-// at every DOP.
+// at every DOP. The residual-filtered join runs each probe worker's pair
+// test on its own scratch row, which -race checks at DOP 4; its rows must
+// also match the serial plan's.
 func TestBatchParallelMatchesRow(t *testing.T) {
 	cat := fixture(t)
-	q := joinQuery(t, cat)
-	opt := parallelOptimizer(cat, 4)
-	plan, err := opt.Optimize(q)
+	for name, q := range map[string]*logical.Query{
+		"equiOnly": joinQuery(t, cat),
+		"residual": residualJoinQuery(t, cat),
+	} {
+		t.Run(name, func(t *testing.T) {
+			opt := parallelOptimizer(cat, 4)
+			plan, err := opt.Optimize(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !planContains(plan, func(p *optimizer.Plan) bool { return p.Op == optimizer.OpExchange }) {
+				t.Fatalf("expected a parallel plan:\n%s", optimizer.Explain(plan, q))
+			}
+			serial := runPlan(t, parallelOptimizer(cat, 1), q, nil)
+			if len(serial) == 0 {
+				t.Fatal("serial join returned no rows; fixture broken")
+			}
+			var wantWork float64
+			for _, dop := range []int{1, 2, 4} {
+				rows := runModes(t, cat, q, plan, opt.Model.Params, dop, "parallel")
+				sameRows(t, rows, serial, "parallel vs serial plan")
+				meter := &Meter{}
+				ex, err := NewExecutor(cat, q, nil, opt.Model.Params, meter)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ex.DOP = dop
+				root, err := ex.Build(plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := Run(root); err != nil {
+					t.Fatal(err)
+				}
+				if dop == 1 {
+					wantWork = meter.Work()
+				} else if meter.Work() != wantWork {
+					t.Errorf("dop=%d: work = %v, want %v", dop, meter.Work(), wantWork)
+				}
+			}
+		})
+	}
+}
+
+// residualJoinQuery is joinQuery plus a cross-table residual that keeps
+// part of the equi-join's pairs: e.e_id < d.d_loc * 100.
+func residualJoinQuery(t *testing.T, cat *catalog.Catalog) *logical.Query {
+	t.Helper()
+	b := logical.NewBuilder(cat)
+	b.AddTable("emp", "e")
+	b.AddTable("dept", "d")
+	b.Where(&expr.Cmp{Op: expr.EQ, L: b.Col("e", "e_dept"), R: b.Col("d", "d_id")})
+	b.Where(&expr.Cmp{Op: expr.LT, L: b.Col("e", "e_id"),
+		R: &expr.Arith{Op: expr.Mul, L: b.Col("d", "d_loc"), R: &expr.Const{Val: types.NewInt(100)}}})
+	b.SelectCol("e", "e_id")
+	b.SelectCol("d", "d_name")
+	q, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !planContains(plan, func(p *optimizer.Plan) bool { return p.Op == optimizer.OpExchange }) {
-		t.Fatalf("expected a parallel plan:\n%s", optimizer.Explain(plan, q))
-	}
-	var wantRows []schema.Row
-	var wantWork float64
-	for _, dop := range []int{1, 2, 4} {
-		rows := runModes(t, cat, q, plan, opt.Model.Params, dop, "parallel")
-		meter := &Meter{}
-		ex, err := NewExecutor(cat, q, nil, opt.Model.Params, meter)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ex.DOP = dop
-		root, err := ex.Build(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Run(root); err != nil {
-			t.Fatal(err)
-		}
-		if wantRows == nil {
-			wantRows, wantWork = rows, meter.Work()
-			continue
-		}
-		sameRows(t, rows, wantRows, "parallel dop")
-		if meter.Work() != wantWork {
-			t.Errorf("dop=%d: work = %v, want %v", dop, meter.Work(), wantWork)
-		}
-	}
+	return q
 }
 
 // batchViolationRun executes a plan expecting a CheckViolation, returning the

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/expr"
 	"repro/internal/optimizer"
 	"repro/internal/schema"
 	"repro/internal/trace"
@@ -501,7 +500,10 @@ type parallelHSJNNode struct {
 
 	probeKeys []int
 	buildKeys []int
-	filter    expr.Expr
+	// pairs is the compiled residual filter. Its scratch row serves the
+	// inline probe loop; each probe worker goroutine takes a copy without
+	// the scratch row, so no two goroutines share one.
+	pairs pairTest
 
 	probeClones, buildClones []Node
 	probeMeters, buildMeters []*Meter
@@ -555,7 +557,7 @@ func (e *Executor) buildParallelHSJN(gp, jp *optimizer.Plan) (Node, error) {
 		}
 	}()
 	var err error
-	n.filter, err = e.remap(jp.Filter, jp.Cols)
+	n.pairs, err = e.pairTestFor(jp)
 	if err != nil {
 		return nil, err
 	}
@@ -810,8 +812,7 @@ func (n *parallelHSJNNode) inlineNext() (schema.Row, bool, error) {
 			if !keysEqual(n.curRow, n.probeKeys, b, n.buildKeys) {
 				continue
 			}
-			joined := n.curRow.Concat(b)
-			keep, ferr := evalFilter(n.filter, n.ex.ectx, joined)
+			keep, ferr := n.pairs.keep(n.ex.ectx, n.curRow, b)
 			if ferr != nil {
 				return nil, false, ferr
 			}
@@ -821,7 +822,7 @@ func (n *parallelHSJNNode) inlineNext() (schema.Row, bool, error) {
 			n.chargeInline(n.outT)
 			n.charge(n.ex, n.ex.Cost.ExchangeRow)
 			n.stats.RowsOut++
-			return joined, true, nil
+			return n.curRow.Concat(b), true, nil
 		}
 		row, ok, err := n.probeClones[0].Next()
 		if err != nil {
@@ -904,20 +905,18 @@ func (n *parallelHSJNNode) inlineNextBatch() (*Batch, error) {
 				if !keysEqual(row, n.probeKeys, br, n.buildKeys) {
 					continue
 				}
-				joined := out.Alloc(len(row) + len(br))
-				copy(joined, row)
-				copy(joined[len(row):], br)
-				keep, ferr := evalFilter(n.filter, n.ex.ectx, joined)
+				keep, ferr := n.pairs.keep(n.ex.ectx, row, br)
 				if ferr != nil {
-					out.dropLast(len(row) + len(br))
 					charge()
 					putBatch(out)
 					return nil, ferr
 				}
 				if !keep {
-					out.dropLast(len(row) + len(br))
 					continue
 				}
+				joined := out.Alloc(len(row) + len(br))
+				copy(joined, row)
+				copy(joined[len(row):], br)
 				emitted++
 			}
 			if out.Len() >= n.ex.BatchSize {
@@ -1031,6 +1030,8 @@ func (n *parallelHSJNNode) runProbeWorker(w int) {
 	meter := n.probeMeters[w]
 	probeT := Ticks(pr.ExchangeRow + pr.HashProbeRow + n.spillExtra)
 	outT := Ticks(pr.OutputRow)
+	pairs := n.pairs // shares the read-only filter; the worker grows its own scratch row
+	pairs.scratch = nil
 	var awT int64 // loop ticks attributed to the join node in analyze mode
 	defer func() { n.addAnalyzeTicks(awT) }()
 	err := func() error {
@@ -1038,7 +1039,7 @@ func (n *parallelHSJNNode) runProbeWorker(w int) {
 			return err
 		}
 		if n.ex.BatchSize > 0 {
-			return n.runProbeWorkerBatched(clone, meter, probeT, outT, &awT)
+			return n.runProbeWorkerBatched(clone, meter, &pairs, probeT, outT, &awT)
 		}
 		for {
 			if n.ctx.Err() != nil {
@@ -1063,8 +1064,7 @@ func (n *parallelHSJNNode) runProbeWorker(w int) {
 				if !keysEqual(row, n.probeKeys, b, n.buildKeys) {
 					continue
 				}
-				joined := row.Concat(b)
-				keep, ferr := evalFilter(n.filter, n.ex.ectx, joined)
+				keep, ferr := pairs.keep(n.ex.ectx, row, b)
 				if ferr != nil {
 					return ferr
 				}
@@ -1076,7 +1076,7 @@ func (n *parallelHSJNNode) runProbeWorker(w int) {
 					awT += outT
 				}
 				select {
-				case n.ch <- rowMsg{row: joined}:
+				case n.ch <- rowMsg{row: row.Concat(b)}:
 				case <-n.ctx.Done():
 					return nil
 				}
@@ -1102,7 +1102,7 @@ func (n *parallelHSJNNode) runProbeWorker(w int) {
 // batches (flushed to the consumer at BatchSize), and issues one meter
 // operation per probe batch plus one per batch of emitted rows — the exact
 // tick totals of the row loop.
-func (n *parallelHSJNNode) runProbeWorkerBatched(clone Node, meter *Meter, probeT, outT int64, awT *int64) error {
+func (n *parallelHSJNNode) runProbeWorkerBatched(clone Node, meter *Meter, pairs *pairTest, probeT, outT int64, awT *int64) error {
 	edge := n.ex.batchEdge(clone)
 	out := getBatch(n.ex.BatchSize)
 	defer func() {
@@ -1158,19 +1158,17 @@ func (n *parallelHSJNNode) runProbeWorkerBatched(clone Node, meter *Meter, probe
 				if !keysEqual(row, n.probeKeys, br, n.buildKeys) {
 					continue
 				}
-				joined := out.Alloc(len(row) + len(br))
-				copy(joined, row)
-				copy(joined[len(row):], br)
-				keep, ferr := evalFilter(n.filter, n.ex.ectx, joined)
+				keep, ferr := pairs.keep(n.ex.ectx, row, br)
 				if ferr != nil {
-					out.dropLast(len(row) + len(br))
 					charge()
 					return ferr
 				}
 				if !keep {
-					out.dropLast(len(row) + len(br))
 					continue
 				}
+				joined := out.Alloc(len(row) + len(br))
+				copy(joined, row)
+				copy(joined[len(row):], br)
 				emitted++
 				if out.Len() >= n.ex.BatchSize {
 					if !flush() {

@@ -10,15 +10,136 @@ import (
 	"repro/internal/types"
 )
 
+// pairTest decides whether an (outer, inner) candidate pair satisfies a
+// join's residual filter without building the joined row first (DESIGN.md
+// §17). The filter's leading cross-side ColRef = ColRef conjuncts are
+// compared straight from the two input rows; anything else runs on a
+// reusable scratch row that is only ever handed to evalFilter. A pairTest
+// value owns its scratch row, so each concurrent worker needs its own copy.
+type pairTest struct {
+	filter  expr.Expr  // the whole residual filter in joined-row layout
+	eqs     []eqPair   // its leading cross-side equality conjuncts
+	rest    expr.Expr  // the conjuncts after eqs; nil when there are none
+	scratch schema.Row // outer ++ inner, rebuilt per evaluation
+}
+
+// eqPair is one leading ColRef = ColRef conjunct with one side in each
+// input. innerLeft records the operand order, so Compare runs exactly as
+// the Cmp would.
+type eqPair struct {
+	outer, inner int
+	innerLeft    bool
+}
+
+// newPairTest compiles a remapped join filter for inputs whose joined row
+// is outerWidth columns of outer followed by the inner's columns.
+func newPairTest(filter expr.Expr, outerWidth int) pairTest {
+	t := pairTest{filter: filter, rest: filter}
+	if filter == nil {
+		return t
+	}
+	args := []expr.Expr{filter}
+	if l, ok := filter.(*expr.Logic); ok && l.Op == expr.And {
+		args = l.Args
+	}
+	k := 0
+	for ; k < len(args); k++ {
+		e, ok := crossEquality(args[k], outerWidth)
+		if !ok {
+			break
+		}
+		t.eqs = append(t.eqs, e)
+	}
+	switch {
+	case k == 0:
+	case k == len(args):
+		t.rest = nil
+	default:
+		t.rest = &expr.Logic{Op: expr.And, Args: args[k:]}
+	}
+	return t
+}
+
+// pairTestFor remaps a join's residual filter into its joined-row layout
+// and compiles it, split at the outer child's width.
+func (e *Executor) pairTestFor(p *optimizer.Plan) (pairTest, error) {
+	filter, err := e.remap(p.Filter, p.Cols)
+	if err != nil {
+		return pairTest{}, err
+	}
+	return newPairTest(filter, len(p.Children[0].Cols)), nil
+}
+
+// crossEquality matches a ColRef = ColRef conjunct whose operands lie on
+// opposite sides of the outer width. The filter is remapped, so every
+// position is inside the joined row.
+func crossEquality(e expr.Expr, outerWidth int) (eqPair, bool) {
+	c, ok := e.(*expr.Cmp)
+	if !ok || c.Op != expr.EQ {
+		return eqPair{}, false
+	}
+	l, lok := c.L.(*expr.ColRef)
+	r, rok := c.R.(*expr.ColRef)
+	if !lok || !rok {
+		return eqPair{}, false
+	}
+	switch {
+	case l.Pos < outerWidth && r.Pos >= outerWidth:
+		return eqPair{outer: l.Pos, inner: r.Pos - outerWidth}, true
+	case r.Pos < outerWidth && l.Pos >= outerWidth:
+		return eqPair{outer: r.Pos, inner: l.Pos - outerWidth, innerLeft: true}, true
+	}
+	return eqPair{}, false
+}
+
+// keep reports what evalFilter(filter, outer.Concat(inner)) reports. A false
+// equality rejects the pair at the point where Logic.Eval's AND would
+// short-circuit to false; a NULL operand or a Compare error evaluates the
+// whole filter instead, so three-valued results and errors are unchanged.
+func (t *pairTest) keep(ctx *expr.Context, outer, inner schema.Row) (bool, error) {
+	for _, e := range t.eqs {
+		a, b := outer[e.outer], inner[e.inner]
+		if e.innerLeft {
+			a, b = b, a
+		}
+		if a.IsNull() || b.IsNull() {
+			return t.eval(t.filter, ctx, outer, inner)
+		}
+		c, err := a.Compare(b)
+		if err != nil {
+			return t.eval(t.filter, ctx, outer, inner)
+		}
+		if c != 0 {
+			return false, nil
+		}
+	}
+	if t.rest == nil {
+		return true, nil
+	}
+	return t.eval(t.rest, ctx, outer, inner)
+}
+
+// eval runs f on outer ++ inner laid out in the scratch row.
+func (t *pairTest) eval(f expr.Expr, ctx *expr.Context, outer, inner schema.Row) (bool, error) {
+	n := len(outer) + len(inner)
+	if cap(t.scratch) < n {
+		t.scratch = make(schema.Row, n)
+	}
+	s := t.scratch[:n]
+	copy(s, outer)
+	copy(s[len(outer):], inner)
+	return evalFilter(f, ctx, s)
+}
+
 // nljnNode implements both naive and index nested-loop joins. The naive
 // variant rewinds its inner child once per outer row; the index variant
 // probes a B+tree on the inner table with a key taken from the outer row.
 type nljnNode struct {
 	base
-	ex     *Executor
-	outer  Node
-	inner  Node // naive variant only
-	filter expr.Expr
+	ex    *Executor
+	outer Node
+	inner Node // naive variant only
+	pairs pairTest
 
 	// Index variant.
 	probe     *probeState
@@ -27,8 +148,10 @@ type nljnNode struct {
 
 	curOuter schema.Row
 	haveOut  bool
-	// queued inner matches for the index variant
+	// The index variant's matching inner rows for curOuter (storage-owned),
+	// read through qpos; the slice's capacity is reused per outer row.
 	queue []schema.Row
+	qpos  int
 }
 
 // probeState tracks the index-probe machinery of an index NLJN and doubles
@@ -49,11 +172,11 @@ func (e *Executor) buildNLJN(p *optimizer.Plan) (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	filter, err := e.remap(p.Filter, p.Cols)
+	pairs, err := e.pairTestFor(p)
 	if err != nil {
 		return nil, err
 	}
-	n := &nljnNode{base: base{plan: p}, ex: e, outer: outer, filter: filter}
+	n := &nljnNode{base: base{plan: p}, ex: e, outer: outer, pairs: pairs}
 	if p.IndexJoin {
 		innerPlan := p.Children[1]
 		t := e.tabs[innerPlan.Table]
@@ -95,7 +218,7 @@ func (e *Executor) buildNLJN(p *optimizer.Plan) (Node, error) {
 func (n *nljnNode) Open() error {
 	n.stats = NodeStats{Opened: true}
 	n.haveOut = false
-	n.queue = nil
+	n.queue, n.qpos = n.queue[:0], 0
 	if err := n.outer.Open(); err != nil {
 		return err
 	}
@@ -136,15 +259,14 @@ func (n *nljnNode) nextNaive() (schema.Row, bool, error) {
 			continue
 		}
 		n.charge(n.ex, pr.PredEval)
-		joined := n.curOuter.Concat(irow)
-		keep, err := evalFilter(n.filter, n.ex.ectx, joined)
+		keep, err := n.pairs.keep(n.ex.ectx, n.curOuter, irow)
 		if err != nil {
 			return nil, false, err
 		}
 		if keep {
 			n.charge(n.ex, pr.OutputRow)
 			n.stats.RowsOut++
-			return joined, true, nil
+			return n.curOuter.Concat(irow), true, nil
 		}
 	}
 }
@@ -152,17 +274,17 @@ func (n *nljnNode) nextNaive() (schema.Row, bool, error) {
 func (n *nljnNode) nextIndex() (schema.Row, bool, error) {
 	pr := &n.ex.Cost
 	for {
-		if len(n.queue) > 0 {
-			joined := n.queue[0]
-			n.queue = n.queue[1:]
-			keep, err := evalFilter(n.filter, n.ex.ectx, joined)
+		if n.qpos < len(n.queue) {
+			irow := n.queue[n.qpos]
+			n.qpos++
+			keep, err := n.pairs.keep(n.ex.ectx, n.curOuter, irow)
 			if err != nil {
 				return nil, false, err
 			}
 			if keep {
 				n.charge(n.ex, pr.OutputRow)
 				n.stats.RowsOut++
-				return joined, true, nil
+				return n.curOuter.Concat(irow), true, nil
 			}
 			continue
 		}
@@ -174,6 +296,8 @@ func (n *nljnNode) nextIndex() (schema.Row, bool, error) {
 			n.stats.Done = true
 			return nil, false, nil
 		}
+		n.curOuter = orow
+		n.queue, n.qpos = n.queue[:0], 0
 		key := orow[n.outerKey]
 		n.probe.charge(n.ex, float64(n.probe.ix.Height())*pr.IndexLevel)
 		for _, rid := range n.probe.ix.Lookup(key) {
@@ -188,7 +312,7 @@ func (n *nljnNode) nextIndex() (schema.Row, bool, error) {
 			}
 			if keep {
 				n.probe.stats.RowsOut++
-				n.queue = append(n.queue, orow.Concat(irow))
+				n.queue = append(n.queue, irow)
 			}
 		}
 	}
@@ -208,7 +332,7 @@ type hsjnNode struct {
 	build     Node
 	probeKeys []int // positions in probe rows
 	buildKeys []int // positions in build rows
-	filter    expr.Expr
+	pairs     pairTest
 
 	table      map[uint64][]schema.Row
 	spillExtra float64 // extra work charged per probe row
@@ -259,16 +383,16 @@ func (e *Executor) buildHSJN(p *optimizer.Plan) (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	filter, err := e.remap(p.Filter, p.Cols)
+	pairs, err := e.pairTestFor(p)
 	if err != nil {
 		return nil, err
 	}
 	n := &hsjnNode{
-		base:   base{plan: p, children: []Node{probe, build}},
-		ex:     e,
-		probe:  probe,
-		build:  build,
-		filter: filter,
+		base:  base{plan: p, children: []Node{probe, build}},
+		ex:    e,
+		probe: probe,
+		build: build,
+		pairs: pairs,
 	}
 	n.probeKeys, n.buildKeys, err = equiKeyPositions(p)
 	if err != nil {
@@ -415,17 +539,15 @@ func (n *hsjnNode) NextBatch(max int) (*Batch, error) {
 			if !keysEqual(n.curProbe, n.probeKeys, m, n.buildKeys) {
 				continue
 			}
-			out := b.Alloc(len(n.curProbe) + len(m))
-			copy(out, n.curProbe)
-			copy(out[len(n.curProbe):], m)
-			keep, ferr := evalFilter(n.filter, n.ex.ectx, out)
+			keep, ferr := n.pairs.keep(n.ex.ectx, n.curProbe, m)
 			if ferr != nil {
-				b.dropLast(len(out)) // not an output row: the row path charges no OutputRow for it
 				flush()
 				return nil, ferr
 			}
-			if !keep {
-				b.dropLast(len(out))
+			if keep {
+				out := b.Alloc(len(n.curProbe) + len(m))
+				copy(out, n.curProbe)
+				copy(out[len(n.curProbe):], m)
 			}
 		}
 		if n.curIdx < len(n.curBucket) {
@@ -472,15 +594,14 @@ func (n *hsjnNode) Next() (schema.Row, bool, error) {
 			if !keysEqual(n.curProbe, n.probeKeys, m, n.buildKeys) {
 				continue
 			}
-			joined := n.curProbe.Concat(m)
-			keep, err := evalFilter(n.filter, n.ex.ectx, joined)
+			keep, err := n.pairs.keep(n.ex.ectx, n.curProbe, m)
 			if err != nil {
 				return nil, false, err
 			}
 			if keep {
 				n.charge(n.ex, pr.OutputRow)
 				n.stats.RowsOut++
-				return joined, true, nil
+				return n.curProbe.Concat(m), true, nil
 			}
 		}
 		row, ok, err := n.probe.Next()
@@ -512,7 +633,7 @@ type mgjnNode struct {
 	right    Node
 	leftKey  int
 	rightKey int
-	filter   expr.Expr
+	pairs    pairTest
 
 	lrow    schema.Row
 	lok     bool
@@ -533,7 +654,7 @@ func (e *Executor) buildMGJN(p *optimizer.Plan) (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	filter, err := e.remap(p.Filter, p.Cols)
+	pairs, err := e.pairTestFor(p)
 	if err != nil {
 		return nil, err
 	}
@@ -549,7 +670,7 @@ func (e *Executor) buildMGJN(p *optimizer.Plan) (Node, error) {
 		right:    right,
 		leftKey:  lk,
 		rightKey: rk,
-		filter:   filter,
+		pairs:    pairs,
 	}, nil
 }
 
@@ -624,16 +745,16 @@ func (n *mgjnNode) Next() (schema.Row, bool, error) {
 			if err != nil || c != 0 {
 				break
 			}
-			joined := n.lrow.Concat(n.group[n.gpos])
+			rrow := n.group[n.gpos]
 			n.gpos++
-			keep, ferr := evalFilter(n.filter, n.ex.ectx, joined)
+			keep, ferr := n.pairs.keep(n.ex.ectx, n.lrow, rrow)
 			if ferr != nil {
 				return nil, false, ferr
 			}
 			if keep {
 				n.charge(n.ex, pr.OutputRow)
 				n.stats.RowsOut++
-				return joined, true, nil
+				return n.lrow.Concat(rrow), true, nil
 			}
 		}
 		if n.lok && len(n.group) > 0 && n.gpos >= len(n.group) {

@@ -170,30 +170,6 @@ func (q *Query) TablesUsed(e expr.Expr) uint64 {
 	return mask
 }
 
-// LocalPredicates returns the WHERE conjuncts that reference only table i.
-func (q *Query) LocalPredicates(i int) []expr.Expr {
-	var out []expr.Expr
-	for _, p := range q.Where {
-		if q.TablesUsed(p) == 1<<uint(i) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// JoinPredicates returns the WHERE conjuncts that reference more than one
-// table.
-func (q *Query) JoinPredicates() []expr.Expr {
-	var out []expr.Expr
-	for _, p := range q.Where {
-		m := q.TablesUsed(p)
-		if m != 0 && m&(m-1) != 0 { // more than one bit set
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // String renders the query in SQL-ish form for diagnostics.
 func (q *Query) String() string {
 	var b strings.Builder

@@ -94,30 +94,16 @@ func TestColumnNameAndType(t *testing.T) {
 	}
 }
 
-func TestPredicateClassification(t *testing.T) {
-	q := buildQ10ish(t)
-	joins := q.JoinPredicates()
-	if len(joins) != 2 {
-		t.Fatalf("join predicates = %d, want 2", len(joins))
-	}
-	local := q.LocalPredicates(2) // lineitem has the param predicate
-	if len(local) != 1 {
-		t.Fatalf("lineitem local predicates = %d, want 1", len(local))
-	}
-	if !expr.HasParam(local[0]) {
-		t.Error("lineitem local predicate should carry the param")
-	}
-	if len(q.LocalPredicates(0)) != 0 {
-		t.Error("customer should have no local predicates")
-	}
-}
-
 func TestTablesUsed(t *testing.T) {
 	q := buildQ10ish(t)
-	joins := q.JoinPredicates()
-	m := q.TablesUsed(joins[0]) // c.c_custkey = o.o_custkey
-	if m != 0b011 {
-		t.Errorf("mask = %b", m)
+	want := []uint64{0b011, 0b110, 0b100} // c ⋈ o, o ⋈ l, the lineitem param predicate
+	if len(q.Where) != len(want) {
+		t.Fatalf("WHERE has %d conjuncts, want %d", len(q.Where), len(want))
+	}
+	for i, p := range q.Where {
+		if m := q.TablesUsed(p); m != want[i] {
+			t.Errorf("conjunct %d (%s): mask = %b, want %b", i, p, m, want[i])
+		}
 	}
 }
 
